@@ -26,7 +26,6 @@ from .infer import (
     dump_neighbors,
     knn_predict,
     predict,
-    predict_unbalanced_full,
     train_probe,
 )
 from .io import load_checkpoint, load_csv, save_checkpoint, save_csv
@@ -83,7 +82,6 @@ __all__ = [
     "nw_predict",
     "onehot",
     "predict",
-    "predict_unbalanced_full",
     "prevalence_filter",
     "run_experiment",
     "run_prevalence_sweep",

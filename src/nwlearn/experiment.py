@@ -20,12 +20,12 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ConfigError, ParseError
-from .infer import InferenceMode, build_cache, predict, predict_unbalanced_full, train_probe
+from .infer import InferenceMode, build_cache, predict, train_probe
 from .io import load_csv, save_checkpoint, save_csv
 from .metrics import METRICS, compute_metric
 from .rng import Rng
 from .scmgen import imbalanced_benchmark, prevalence_filter, spurious_benchmark
-from .trainer import NW_VARIANTS, TrainConfig, train
+from .trainer import NW_VARIANTS, TrainConfig, train, variant_mode
 
 log = logging.getLogger(__name__)
 
@@ -211,9 +211,10 @@ def run_prevalence_sweep(cfg: ExperimentConfig, prevalences=(0.15, 0.3, 0.5, 0.7
 
     Trains the balanced and unbalanced NW variants per seed, then scores
     both on test sets filtered to each target prevalence of ``class_id``.
-    The unbalanced variant is evaluated with its matching support (the
-    whole training set, no duplication, ``predict_unbalanced_full``), the
-    same vote it is selected on during training.
+    Each variant is tested with the mode it is selected on during training
+    (``trainer.variant_mode``): ``nw_balanced`` on class-balanced ``full``
+    mode, ``nw_unbalanced`` on the unweighted vote over every training row
+    (exact ``knn`` at k = |cache|).
     """
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -237,10 +238,7 @@ def run_prevalence_sweep(cfg: ExperimentConfig, prevalences=(0.15, 0.3, 0.5, 0.7
                 cache = build_cache(model, ds_train)
                 for p, ds_p in filtered.items():
                     feats = model.extract(ds_p.X).data
-                    if variant == "nw_balanced":
-                        probs = predict(InferenceMode("full"), cache, feats)
-                    else:
-                        probs = predict_unbalanced_full(cache, feats)
+                    probs = predict(variant_mode(variant, cache), cache, feats)
                     value = compute_metric(probs, ds_p.y, ds_p.e, cfg.metric)
                     records.append(_metric_record(seed, f"{variant}@{p}", cfg.metric,
                                                   value, len(ds_p)))

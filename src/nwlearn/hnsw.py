@@ -5,10 +5,6 @@ through the sparse upper layers, then a best-first beam search on the base
 layer, which holds every node. Distances are squared Euclidean internally
 (monotone in the true distance). Only the level draws consume randomness;
 given the Rng the build is deterministic, with ties broken by node id.
-
-Adjacency is stored as fixed-capacity int arrays per layer so the beam
-search can run as a numba kernel; a pure-numpy implementation of the same
-search is used when numba is unavailable.
 """
 
 from __future__ import annotations
@@ -20,135 +16,9 @@ import numpy as np
 from .errors import ConfigError, ContractError
 from .rng import Rng
 
-try:
-    from numba import njit
-
-    _HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is an optional accelerator
-    _HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        return wrap if not args else wrap(*args)
-
-
 DEFAULT_M = 16
 DEFAULT_EF_CONSTRUCTION = 200
 DEFAULT_EF_SEARCH = 100
-
-
-@njit(cache=True)
-def _sift_up(d, i, pos, sign):
-    # binary heap on (sign*dist, id) with lexicographic ties by id
-    while pos > 0:
-        parent = (pos - 1) // 2
-        if (sign * d[pos], i[pos]) < (sign * d[parent], i[parent]):
-            d[pos], d[parent] = d[parent], d[pos]
-            i[pos], i[parent] = i[parent], i[pos]
-            pos = parent
-        else:
-            break
-
-
-@njit(cache=True)
-def _sift_down(d, i, size, sign):
-    pos = 0
-    while True:
-        left = 2 * pos + 1
-        if left >= size:
-            break
-        child = left
-        right = left + 1
-        if right < size and (sign * d[right], i[right]) < (sign * d[left], i[left]):
-            child = right
-        if (sign * d[child], i[child]) < (sign * d[pos], i[pos]):
-            d[pos], d[child] = d[child], d[pos]
-            i[pos], i[child] = i[child], i[pos]
-            pos = child
-        else:
-            break
-
-
-@njit(cache=True)
-def _beam_search_kernel(features, norms, nbr, cnt, entry_i, entry_d, ef, q, qq):
-    """Best-first beam search from one entry point; returns the best-`ef`
-    (squared distance, id) pairs found, unordered."""
-    n = features.shape[0]
-    dim = features.shape[1]
-    visited = np.zeros(n, np.bool_)
-    visited[entry_i] = True
-
-    cand_d = np.empty(n + 1, np.float64)  # min-heap of frontier nodes
-    cand_i = np.empty(n + 1, np.int64)
-    cand_d[0] = entry_d
-    cand_i[0] = entry_i
-    cand_size = 1
-
-    best_d = np.empty(ef, np.float64)  # max-heap of current results
-    best_i = np.empty(ef, np.int64)
-    best_d[0] = entry_d
-    best_i[0] = entry_i
-    best_size = 1
-
-    while cand_size > 0:
-        d0 = cand_d[0]
-        i0 = cand_i[0]
-        cand_size -= 1
-        cand_d[0] = cand_d[cand_size]
-        cand_i[0] = cand_i[cand_size]
-        _sift_down(cand_d, cand_i, cand_size, 1.0)
-
-        if best_size >= ef and d0 > best_d[0]:
-            break
-        for t in range(cnt[i0]):
-            j = nbr[i0, t]
-            if visited[j]:
-                continue
-            visited[j] = True
-            acc = 0.0
-            for k in range(dim):
-                acc += features[j, k] * q[k]
-            dj = norms[j] - 2.0 * acc + qq
-            if best_size < ef:
-                best_d[best_size] = dj
-                best_i[best_size] = j
-                _sift_up(best_d, best_i, best_size, -1.0)
-                best_size += 1
-            elif dj < best_d[0]:
-                best_d[0] = dj
-                best_i[0] = j
-                _sift_down(best_d, best_i, best_size, -1.0)
-            else:
-                continue
-            cand_d[cand_size] = dj
-            cand_i[cand_size] = j
-            _sift_up(cand_d, cand_i, cand_size, 1.0)
-            cand_size += 1
-    return best_d[:best_size], best_i[:best_size]
-
-
-@njit(cache=True)
-def _descend_kernel(features, norms, nbr, cnt, cur, curd, q, qq):
-    """Greedy walk to the locally closest node (strictly improving)."""
-    dim = features.shape[1]
-    while True:
-        best_j = -1
-        best_d = curd
-        for t in range(cnt[cur]):
-            j = nbr[cur, t]
-            acc = 0.0
-            for k in range(dim):
-                acc += features[j, k] * q[k]
-            dj = norms[j] - 2.0 * acc + qq
-            if dj < best_d:
-                best_d = dj
-                best_j = j
-        if best_j < 0:
-            return cur, curd
-        cur = best_j
-        curd = best_d
 
 
 class _Layer:
@@ -251,10 +121,6 @@ class HnswIndex:
             self._entry = i
 
     def _descend(self, q, qq: float, cur: int, curd: float, layer: _Layer) -> tuple[int, float]:
-        if _HAS_NUMBA:
-            cur, curd = _descend_kernel(self.features, self._norms, layer.nbr, layer.cnt,
-                                        cur, curd, q, qq)
-            return int(cur), float(curd)
         while True:
             neigh = layer.neighbors(cur)
             if len(neigh) == 0:
@@ -269,11 +135,6 @@ class HnswIndex:
     def _search_layer(self, q, qq: float, entry: tuple[float, int], ef: int,
                       layer: _Layer) -> list[tuple[float, int]]:
         """Beam search from one entry; returns (dist, id) ascending."""
-        if _HAS_NUMBA:
-            best_d, best_i = _beam_search_kernel(
-                self.features, self._norms, layer.nbr, layer.cnt,
-                entry[1], entry[0], ef, q, qq)
-            return sorted(zip(best_d.tolist(), best_i.tolist()))
         visited = np.zeros(len(self.features), dtype=bool)
         visited[entry[1]] = True
         cand = [entry]

@@ -1,11 +1,13 @@
 """Test-time inference modes over a frozen feature extractor.
 
 All modes precompute training features once into a FeatureCache and then
-apply the NW vote with differently assembled supports: Random (k per
-class), Full (entire training set, class-balanced by cyclic duplication),
-Ensemble (average of per-environment predictions), Cluster (per-class
-k-means centroids), exact k-NN and HNSW, plus a linear probe trained on
-the frozen features.
+apply one NW vote (``nwhead.nw_vote``) with differently assembled
+supports: Random (k per class), Full (entire training set, class-balanced
+by row multiplicities), Ensemble (average of per-environment predictions),
+Cluster (per-class k-means centroids), exact k-NN and HNSW, plus a linear
+probe trained on the frozen features. Exact k-NN at k = |cache| is the
+unweighted vote over every training row, the support ``nw_unbalanced`` is
+selected and tested on; the other NW variants are selected on Full.
 """
 
 from __future__ import annotations
@@ -20,11 +22,10 @@ from .errors import ConfigError, ContractError, CoverageError
 from .featnet import FeatureNet, LinearHead
 from .hnsw import HnswIndex
 from .kmeans import kmeans
-from .nwhead import cross_entropy, nw_predict, onehot
+from .nwhead import cross_entropy, nw_vote, onehot
 from .optim import Adam
 from .rng import Rng
-from .support import SupportBatch
-from .tensor import Tape, backward
+from .tensor import Tape, backward, sqdist
 
 log = logging.getLogger(__name__)
 
@@ -73,15 +74,6 @@ def build_cache(net: FeatureNet, ds_train: Dataset) -> FeatureCache:
     return FeatureCache(feats, ds_train.y, ds_train.e, ds_train.n_classes)
 
 
-def _support_from(cache: FeatureCache, idx: np.ndarray) -> SupportBatch:
-    return SupportBatch(
-        features=cache.features[idx],
-        onehot_labels=onehot(cache.labels[idx], cache.n_classes),
-        source_envs=cache.envs[idx],
-        source_indices=idx.astype(np.int64),
-    )
-
-
 def _balanced_weights(buckets: dict[int, np.ndarray], require_all: bool) -> tuple[np.ndarray, np.ndarray]:
     """Class-balance by weighting every row of a class at max_count/count.
 
@@ -104,35 +96,15 @@ def _balanced_weights(buckets: dict[int, np.ndarray], require_all: bool) -> tupl
     return idx, weights
 
 
-def _weighted_nw(query_feats: np.ndarray, feats: np.ndarray, labels: np.ndarray,
-                 n_classes: int, weights: np.ndarray | None = None) -> np.ndarray:
-    """NW vote with per-row multiplicities: exp(-d) * w is softmax over
-    similarity shifted by log(w)."""
-    q = np.atleast_2d(query_feats)
-    qq = (q * q).sum(axis=1)[:, None]
-    nn = (feats * feats).sum(axis=1)[None, :]
-    d = np.sqrt(np.maximum(qq + nn - 2.0 * (q @ feats.T), 0.0))
-    logits = -d
+def _weighted_nw(q: np.ndarray, feats: np.ndarray, labels, n_classes: int,
+                 weights: np.ndarray | None = None) -> np.ndarray:
+    """NW vote of every query over every row of ``feats``, with optional
+    per-row multiplicities: exp(-d) * w is softmax over similarity shifted
+    by log(w)."""
+    logits = -np.sqrt(sqdist(q, feats))
     if weights is not None:
-        logits = logits + np.log(weights)[None, :]
-    logits -= logits.max(axis=1, keepdims=True)
-    w = np.exp(logits)
-    w /= w.sum(axis=1, keepdims=True)
-    return w @ onehot(labels, n_classes)
-
-
-def _nw_probs(query_feats: np.ndarray, support: SupportBatch) -> np.ndarray:
-    return nw_predict(query_feats, support).data
-
-
-def predict_unbalanced_full(cache: FeatureCache, query_feats) -> np.ndarray:
-    """NW vote over every cached row once, unweighted: the support of the
-    ``nw_unbalanced`` variant, equal to exact k-NN at k = cache size
-    without the per-query sort."""
-    if len(cache) == 0:
-        raise ContractError("empty feature cache")
-    q = np.atleast_2d(np.asarray(query_feats, dtype=np.float64))
-    return _weighted_nw(q, cache.features, cache.labels, cache.n_classes)
+        logits += np.log(weights)
+    return nw_vote(logits, onehot(labels, n_classes))
 
 
 def predict(mode: InferenceMode, cache: FeatureCache, query_feats, rng: Rng | None = None,
@@ -152,7 +124,8 @@ def predict(mode: InferenceMode, cache: FeatureCache, query_feats, rng: Rng | No
             if replace:
                 log.warning("class %d has %d cached rows; drawing %d with replacement", c, len(bucket), mode.k)
             parts.append(rng.choice(bucket, size=mode.k, replace=replace))
-        return _nw_probs(q, _support_from(cache, np.concatenate(parts)))
+        idx = np.concatenate(parts)
+        return _weighted_nw(q, cache.features[idx], cache.labels[idx], cache.n_classes)
 
     if mode.kind == "full":
         idx, weights = _balanced_weights(cache.by_class, require_all=True)
@@ -187,13 +160,7 @@ def predict(mode: InferenceMode, cache: FeatureCache, query_feats, rng: Rng | No
             centroids, _, _ = kmeans(cache.features[bucket], k, rng)
             feats_parts.append(centroids)
             label_parts.extend([c] * len(centroids))
-        support = SupportBatch(
-            features=np.concatenate(feats_parts),
-            onehot_labels=onehot(label_parts, cache.n_classes),
-            source_envs=np.full(len(label_parts), -1, dtype=np.int64),
-            source_indices=np.full(len(label_parts), -1, dtype=np.int64),
-        )
-        return _nw_probs(q, support)
+        return _weighted_nw(q, np.concatenate(feats_parts), label_parts, cache.n_classes)
 
     if mode.kind in ("knn", "hnsw"):
         return knn_predict(cache, q, mode.k, exact=(mode.kind == "knn"), rng=rng, index=index)
@@ -209,9 +176,7 @@ def predict(mode: InferenceMode, cache: FeatureCache, query_feats, rng: Rng | No
 def _exact_neighbors(cache: FeatureCache, q: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """(indices, distances) of the k nearest cached rows per query; ties in
     distance break toward the lower dataset index."""
-    qq = (q * q).sum(axis=1)[:, None]
-    nn = (cache.features * cache.features).sum(axis=1)[None, :]
-    d2 = np.maximum(qq + nn - 2.0 * (q @ cache.features.T), 0.0)
+    d2 = sqdist(q, cache.features)
     order = np.argsort(d2, axis=1, kind="stable")[:, :k]
     rows = np.arange(len(q))[:, None]
     return order, np.sqrt(d2[rows, order])
@@ -219,12 +184,18 @@ def _exact_neighbors(cache: FeatureCache, q: np.ndarray, k: int) -> tuple[np.nda
 
 def knn_predict(cache: FeatureCache, query_feats, k: int, exact: bool = True,
                 rng: Rng | None = None, index: HnswIndex | None = None) -> np.ndarray:
-    """NW vote restricted to the k nearest cached rows per query."""
+    """NW vote restricted to the k nearest cached rows per query.
+
+    At k = |cache| the exact neighbour set is every row, so the vote runs
+    over the whole cache without sorting.
+    """
     if len(cache) == 0:
         raise ContractError("empty feature cache")
     if k < 1 or k > len(cache):
         raise ContractError(f"k must be in [1, {len(cache)}], got {k}")
     q = np.atleast_2d(np.asarray(query_feats, dtype=np.float64))
+    if exact and k == len(cache):
+        return _weighted_nw(q, cache.features, cache.labels, cache.n_classes)
     if exact:
         idx, dist = _exact_neighbors(cache, q, k)
     else:
@@ -234,14 +205,7 @@ def knn_predict(cache: FeatureCache, query_feats, k: int, exact: bool = True,
         dist = np.empty((len(q), k))
         for i, row in enumerate(q):
             idx[i], dist[i] = index.search(row, k)
-    # softmax over -distance within each query's own k neighbors
-    w = np.exp(-dist + dist.min(axis=1, keepdims=True))
-    w /= w.sum(axis=1, keepdims=True)
-    labels = cache.labels[idx]
-    probs = np.zeros((len(q), cache.n_classes))
-    for c in range(cache.n_classes):
-        probs[:, c] = (w * (labels == c)).sum(axis=1)
-    return probs
+    return nw_vote(-dist, onehot(cache.labels[idx], cache.n_classes))
 
 
 def train_probe(cache: FeatureCache, lr: float = 0.05, epochs: int = 200) -> LinearHead:

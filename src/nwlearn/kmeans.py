@@ -11,12 +11,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .rng import Rng
-
-
-def _sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    aa = (a * a).sum(axis=1)[:, None]
-    bb = (b * b).sum(axis=1)[None, :]
-    return np.maximum(aa + bb - 2.0 * (a @ b.T), 0.0)
+from .tensor import sqdist
 
 
 def kmeans(points, k: int, rng: Rng, max_iter: int = 100, rel_tol: float = 1e-6):
@@ -46,7 +41,7 @@ def kmeans(points, k: int, rng: Rng, max_iter: int = 100, rel_tol: float = 1e-6)
     prev_obj = None
     assign = np.zeros(n, dtype=np.int64)
     for _ in range(max_iter):
-        dists = _sqdist(pts, centroids)
+        dists = sqdist(pts, centroids)
         assign = dists.argmin(axis=1)
         residual = dists[np.arange(n), assign]
         obj = float(residual.sum())

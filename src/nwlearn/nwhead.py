@@ -3,7 +3,9 @@
 A prediction is a kernel-weighted vote over support labels: softmax over
 similarities between the query feature and every support feature, then a
 matrix product with the one-hot support labels. Similarity is the negative
-Euclidean distance with temperature fixed at 1.
+Euclidean distance with temperature fixed at 1. ``nw_predict`` is the
+taped vote that training differentiates; ``nw_vote`` is the same vote on
+plain arrays, which every inference mode calls.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from .tensor import (
     mul,
     pairwise_sqdist,
     scale,
+    softmax,
     softmax_rows,
     sqrt,
     sum_all,
@@ -45,6 +48,18 @@ def nw_predict(query_feats, support) -> Tensor:
         raise ContractError("nw_predict needs a non-empty support set")
     weights = softmax_rows(similarity(query_feats, support.features))
     return matmul(weights, Tensor(labels))
+
+
+def nw_vote(logits: np.ndarray, onehot_labels: np.ndarray) -> np.ndarray:
+    """Untaped NW vote: softmax over each query's row of ``logits``, then
+    the weighted sum of support labels.
+
+    ``onehot_labels`` is shared by every query (m, C) or given per query
+    (nq, m, C), for supports such as k nearest neighbours that differ by
+    query.
+    """
+    w = softmax(logits)
+    return np.matmul(w[:, None, :], onehot_labels)[:, 0]
 
 
 def cross_entropy(pred_probs, onehot_labels) -> Tensor:

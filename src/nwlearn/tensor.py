@@ -4,6 +4,8 @@ Tensors are immutable values wrapping numpy arrays. Gradients are recorded
 on an explicit :class:`Tape`: watch the parameters, run the forward pass,
 then call :func:`backward` once. Ops record a node only when an input sits
 on a live tape, so the identical code path serves training and inference.
+The plain-numpy :func:`sqdist` and :func:`softmax` compute the forward of
+the taped distance and softmax, and the untaped inference vote.
 """
 
 from __future__ import annotations
@@ -89,6 +91,23 @@ class Tape:
 
     def _record(self, out, inputs, vjp):
         self._nodes.append((out, inputs, vjp))
+
+
+def sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix of squared Euclidean distances: out[i, j] = ||a_i - b_j||^2.
+
+    Computed via the inner-product expansion and clipped at 0 to absorb
+    negative round-off.
+    """
+    aa = (a * a).sum(axis=1)[:, None]
+    bb = (b * b).sum(axis=1)[None, :]
+    return np.maximum(aa + bb - 2.0 * (a @ b.T), 0.0)
+
+
+def softmax(x: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of a matrix with per-row max subtraction for stability."""
+    e = np.exp(x - x.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def _wrap(x) -> Tensor:
@@ -238,9 +257,7 @@ def softmax_rows(x) -> Tensor:
     x = _wrap(x)
     if x.data.ndim != 2:
         raise ShapeError(f"softmax_rows needs a matrix, got shape {x.shape}")
-    shifted = x.data - x.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=1, keepdims=True)
+    s = softmax(x.data)
 
     def vjp(g):
         return (s * (g - (g * s).sum(axis=1, keepdims=True)),)
@@ -249,17 +266,11 @@ def softmax_rows(x) -> Tensor:
 
 
 def pairwise_sqdist(a, b) -> Tensor:
-    """Matrix of squared Euclidean distances: out[i, j] = ||a_i - b_j||^2.
-
-    Computed via the inner-product expansion and clipped at 0 to absorb
-    negative round-off.
-    """
+    """Taped :func:`sqdist`: out[i, j] = ||a_i - b_j||^2."""
     a, b = _wrap(a), _wrap(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[1]:
         raise ShapeError(f"pairwise_sqdist: shapes {a.shape} and {b.shape} do not conform")
-    aa = (a.data * a.data).sum(axis=1)[:, None]
-    bb = (b.data * b.data).sum(axis=1)[None, :]
-    d = np.maximum(aa + bb - 2.0 * (a.data @ b.data.T), 0.0)
+    d = sqdist(a.data, b.data)
 
     def vjp(g):
         ga = 2.0 * (a.data * g.sum(axis=1)[:, None] - g @ b.data)

@@ -19,7 +19,7 @@ import numpy as np
 from .data import Dataset, LabeledExample
 from .errors import ConfigError, DomainError, TrainingDiverged
 from .featnet import DEFAULT_FEATURE_DIM, DEFAULT_HIDDEN_DIMS, FeatureNet, LinearHead
-from .infer import InferenceMode, build_cache, predict, predict_unbalanced_full
+from .infer import FeatureCache, InferenceMode, build_cache, predict
 from .metrics import compute_metric
 from .nwhead import cross_entropy, nw_predict, onehot
 from .optim import make_optimizer
@@ -108,14 +108,27 @@ def nw_ce_loss(net: FeatureNet, query_x, query_onehot, support) -> Tensor:
     return cross_entropy(probs, query_onehot)
 
 
-def invariance_penalty(net: FeatureNet, query_x, support_a, support_b) -> Tensor:
-    """Mean over queries of the squared L2 gap between the predictions
-    under two environment-conditioned supports. Zero iff they coincide."""
+def _prediction_gap(net: FeatureNet, query_x, support_a, support_b) -> tuple[Tensor, Tensor]:
+    """(predictions under support_a, mean over queries of the squared L2
+    gap between the predictions under the two supports)."""
     q_feats = net.extract(query_x)
     pa = nw_predict(q_feats, replace(support_a, features=net.extract(support_a.features)))
     pb = nw_predict(q_feats, replace(support_b, features=net.extract(support_b.features)))
     diff = sub(pa, pb)
-    return scale(sum_all(mul(diff, diff)), 1.0 / pa.shape[0])
+    return pa, scale(sum_all(mul(diff, diff)), 1.0 / pa.shape[0])
+
+
+def invariance_penalty(net: FeatureNet, query_x, support_a, support_b) -> Tensor:
+    """Mean over queries of the squared L2 gap between the predictions
+    under two environment-conditioned supports. Zero iff they coincide."""
+    return _prediction_gap(net, query_x, support_a, support_b)[1]
+
+
+def _support_ce(net: FeatureNet, query_batch, ds: Dataset, spec: SupportSpec, rng: Rng) -> Tensor:
+    """NW cross-entropy of one query batch on a support drawn by ``spec``."""
+    qx, labels, q_onehot = _query_arrays(query_batch, ds.n_classes)
+    support = sample_support(ds, spec, set(labels), rng)
+    return nw_ce_loss(net, qx, q_onehot, support)
 
 
 def loss_implicit(net: FeatureNet, query_batch, ds: Dataset, n_c: int, rng: Rng,
@@ -130,10 +143,7 @@ def loss_implicit(net: FeatureNet, query_batch, ds: Dataset, n_c: int, rng: Rng,
         raise ConfigError("dataset has no environments")
     if env is None:
         env = int(rng.choice(np.array(ds.env_ids)))
-    qx, labels, q_onehot = _query_arrays(query_batch, ds.n_classes)
-    spec = SupportSpec(balanced=True, env=env, n_per_class=n_c)
-    support = sample_support(ds, spec, set(labels), rng)
-    return nw_ce_loss(net, qx, q_onehot, support)
+    return _support_ce(net, query_batch, ds, SupportSpec(balanced=True, env=env, n_per_class=n_c), rng)
 
 
 def loss_explicit(net: FeatureNet, query_batch, ds: Dataset, n_c: int, lambda_: float,
@@ -148,22 +158,14 @@ def loss_explicit(net: FeatureNet, query_batch, ds: Dataset, n_c: int, lambda_: 
         raise ConfigError(f"explicit variant needs >= 2 environments, dataset has {ds.n_envs}")
     qx, labels, q_onehot = _query_arrays(query_batch, ds.n_classes)
     support_a, support_b = sample_env_pair(ds, n_c, set(labels), rng)
-    q_feats = net.extract(qx)
-    pa = nw_predict(q_feats, replace(support_a, features=net.extract(support_a.features)))
-    pb = nw_predict(q_feats, replace(support_b, features=net.extract(support_b.features)))
-    ce = cross_entropy(pa, q_onehot)
-    diff = sub(pa, pb)
-    penalty = scale(sum_all(mul(diff, diff)), 1.0 / pa.shape[0])
-    return ce + scale(penalty, lambda_), penalty
+    pa, penalty = _prediction_gap(net, qx, support_a, support_b)
+    return cross_entropy(pa, q_onehot) + scale(penalty, lambda_), penalty
 
 
 def loss_unconditioned(net: FeatureNet, query_batch, ds: Dataset, n_c: int, rng: Rng,
                        balanced: bool = True) -> Tensor:
     """NW loss with support drawn from all environments (balanced or not)."""
-    qx, labels, q_onehot = _query_arrays(query_batch, ds.n_classes)
-    spec = SupportSpec(balanced=balanced, env=None, n_per_class=n_c)
-    support = sample_support(ds, spec, set(labels), rng)
-    return nw_ce_loss(net, qx, q_onehot, support)
+    return _support_ce(net, query_batch, ds, SupportSpec(balanced=balanced, env=None, n_per_class=n_c), rng)
 
 
 def loss_erm(head: LinearHead, net: FeatureNet, query_x, query_onehot) -> Tensor:
@@ -171,15 +173,19 @@ def loss_erm(head: LinearHead, net: FeatureNet, query_x, query_onehot) -> Tensor
     return cross_entropy(head.predict_probs(net.extract(query_x)), query_onehot)
 
 
+def variant_mode(variant: str, cache: FeatureCache) -> InferenceMode:
+    """The inference mode an NW variant is selected and tested with: the
+    vote over every training row once (exact k-NN at k = |cache|) for
+    ``nw_unbalanced``, class-balanced ``full`` mode for the others."""
+    return InferenceMode("knn", len(cache)) if variant == "nw_unbalanced" else InferenceMode("full")
+
+
 def _evaluate(variant: str, net: FeatureNet, head: LinearHead | None,
               ds_train: Dataset, ds_val: Dataset, metric: str) -> float:
     if variant in NW_VARIANTS:
         cache = build_cache(net, ds_train)
         q = net.extract(ds_val.X).data
-        if variant == "nw_unbalanced":  # its own support: every training row once
-            probs = predict_unbalanced_full(cache, q)
-        else:
-            probs = predict(InferenceMode("full"), cache, q)
+        probs = predict(variant_mode(variant, cache), cache, q)
     else:
         probs = head.predict_probs(net.extract(ds_val.X)).data
     return compute_metric(probs, ds_val.y, ds_val.e, metric)
@@ -190,10 +196,10 @@ def train(ds_train: Dataset, ds_val_ood: Dataset, cfg: TrainConfig, metric: str 
 
     The returned model carries the parameters of the checkpoint that
     maximized ``metric`` on the OOD validation set. Each variant is scored
-    on the support it is tested with: ``nw_unbalanced`` with the NW vote
-    over the whole training set, unweighted (``predict_unbalanced_full``);
-    the other NW variants with class-balanced full-mode inference;
-    ERM with the parametric head.
+    through one ``predict`` call per check, on the support it is tested
+    with: ``nw_unbalanced`` on the unweighted NW vote over every training
+    row (``knn`` at k = |cache|), the other NW variants on class-balanced
+    ``full`` mode, ERM with the parametric head.
     """
     overlap = set(ds_train.env_ids) & set(ds_val_ood.env_ids)
     if overlap:

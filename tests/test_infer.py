@@ -12,13 +12,17 @@ from nwlearn.infer import (
     dump_neighbors,
     knn_predict,
     predict,
-    predict_unbalanced_full,
     train_probe,
 )
 from nwlearn.kmeans import kmeans
-from nwlearn.nwhead import nw_predict, onehot
+from nwlearn.nwhead import nw_predict, nw_vote, onehot
 from nwlearn.support import SupportBatch
-from nwlearn.tensor import Tensor
+from nwlearn.tensor import Tensor, pairwise_sqdist, sqdist
+
+
+def nw_head(q, feats, labels, n_classes):
+    support = SupportBatch(features=feats, onehot_labels=onehot(labels, n_classes))
+    return nw_predict(Tensor(q), support).data
 
 
 def make_cache(n=60, dim=5, n_classes=3, n_envs=2, seed=0, balanced=False):
@@ -86,6 +90,12 @@ def test_random_mode_k_per_class():
     a = predict(InferenceMode("random", k=2), cache, np.zeros((1, 5)), rng=Rng(9))
     b = predict(InferenceMode("random", k=2), cache, np.zeros((1, 5)), rng=Rng(9))
     assert (a == b).all()
+    # the same draws voted by the taped NW head
+    rng = Rng(9)
+    idx = np.concatenate([rng.choice(bucket, size=2, replace=False)
+                          for _, bucket in sorted(cache.by_class.items())])
+    expected = nw_head(np.zeros((1, 5)), cache.features[idx], cache.labels[idx], cache.n_classes)
+    assert np.abs(a - expected).max() < 1e-12
 
 
 def test_ensemble_identical_env_predictions_is_identity():
@@ -136,6 +146,16 @@ def test_cluster_k_equal_bucket_size_reproduces_full_prediction_on_balanced_cach
     assert np.abs(clustered - full).max() < 1e-9
 
 
+def test_cluster_mode_is_the_nw_head_on_per_class_centroids():
+    cache = make_cache(seed=34)
+    q = np.random.default_rng(35).normal(size=(4, 5))
+    got = predict(InferenceMode("cluster", k=3), cache, q, rng=Rng(36))
+    rng = Rng(36)
+    centroids = [kmeans(cache.features[bucket], 3, rng)[0] for _, bucket in sorted(cache.by_class.items())]
+    labels = np.repeat(np.arange(cache.n_classes), 3)
+    assert np.abs(got - nw_head(q, np.concatenate(centroids), labels, cache.n_classes)).max() < 1e-12
+
+
 def test_cluster_k_reduced_to_bucket_size_with_warning(caplog):
     cache = make_cache(n=12, n_classes=3, balanced=True, seed=15)
     with caplog.at_level("WARNING"):
@@ -163,7 +183,17 @@ def test_knn_k_equals_cache_size_matches_unbalanced_full():
     )
     expected = nw_predict(Tensor(q), support).data
     assert np.abs(got - expected).max() < 1e-9
-    assert np.abs(predict_unbalanced_full(cache, q) - expected).max() < 1e-9
+
+
+def test_numpy_vote_and_distance_match_the_taped_head():
+    gen = np.random.default_rng(37)
+    q, feats = gen.normal(size=(6, 5)), gen.normal(size=(40, 5))
+    y = gen.integers(0, 3, size=40)
+    assert np.array_equal(pairwise_sqdist(q, feats).data, sqdist(q, feats))
+    logits = -np.sqrt(sqdist(q, feats))
+    shared = nw_vote(logits, onehot(y, 3))
+    assert np.abs(shared - nw_vote(logits, np.broadcast_to(onehot(y, 3), (6, 40, 3)))).max() < 1e-15
+    assert np.abs(shared - nw_head(q, feats, y, 3)).max() < 1e-12
 
 
 def test_knn_bounds():

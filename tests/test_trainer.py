@@ -269,3 +269,27 @@ def test_unbalanced_selection_scores_its_own_support():
     model, report = train(ds, val, cfg)
     probs = knn_predict(build_cache(model, ds), model.extract(val.X).data, k=len(ds))
     assert report.epochs[0].val_metric == compute_metric(probs, val.y, val.e, "accuracy")
+
+
+@pytest.mark.parametrize("variant", ["nw_implicit", "nw_explicit", "nw_balanced", "nw_unbalanced"])
+def test_every_validation_check_is_one_trainer_predict_call(variant, monkeypatch):
+    # benchmark tracing times validation at nwlearn.trainer.predict, so each
+    # NW variant's check must go through that one call
+    import nwlearn.trainer as trainer_module
+
+    ds = toy_dataset(n=120, seed=53)
+    val = Dataset([LabeledExample(x=ex.x, y=ex.y, e=5) for ex in toy_dataset(seed=54).examples], 2)
+    cfg = TrainConfig(variant=variant, max_epochs=1, seed=55, eval_every=4,
+                      hidden_dims=(8,), feature_dim=4)
+    modes = []
+    original = trainer_module.predict
+
+    def counting_predict(mode, cache, *args, **kwargs):
+        modes.append((mode.kind, mode.k))
+        return original(mode, cache, *args, **kwargs)
+
+    monkeypatch.setattr(trainer_module, "predict", counting_predict)
+    train(ds, val, cfg)
+    checks = len(ds) // cfg.n_q // cfg.eval_every + cfg.max_epochs
+    expected = ("knn", len(ds)) if variant == "nw_unbalanced" else ("full", None)
+    assert modes == [expected] * checks
