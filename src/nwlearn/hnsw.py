@@ -1,10 +1,19 @@
-"""Hierarchical navigable small-world graph for approximate nearest neighbors.
+"""Hierarchical navigable small-world graph for approximate nearest neighbors
+(Malkov & Yashunin, 2018).
 
-A layered proximity graph over a fixed feature matrix: greedy descent
-through the sparse upper layers, then a best-first beam search on the base
-layer, which holds every node. Distances are squared Euclidean internally
-(monotone in the true distance). Only the level draws consume randomness;
-given the Rng the build is deterministic, with ties broken by node id.
+A layered proximity graph over a fixed feature matrix. Each node draws a
+level, and layer l holds the nodes whose level is at least l, so the base
+layer holds every node. The build links one layer at a time from exact
+candidate lists: each member's ef_construction nearest other members, by
+(squared distance, id), come from row blocks of one distance matrix; the
+diversifying heuristic picks m forward links among them; each member's
+list is then the heuristic's pick of the layer cap (2m on the base layer,
+m above) among its forward links and the reverse links onto it. A query
+descends greedily through the upper layers from the entry node, the lowest
+id at the top level, then runs a best-first beam search on the base layer.
+Distances are squared Euclidean internally (monotone in the true
+distance). Only the level draws consume randomness; given the Rng the
+build is deterministic, with ties broken by node id.
 """
 
 from __future__ import annotations
@@ -15,10 +24,13 @@ import numpy as np
 
 from .errors import ConfigError, ContractError
 from .rng import Rng
+from .tensor import smallest_k, sqdist
 
 DEFAULT_M = 16
 DEFAULT_EF_CONSTRUCTION = 200
 DEFAULT_EF_SEARCH = 100
+# entries of one squared-distance block in the build, bounding its memory
+_BLOCK_ELEMS = 1 << 18
 
 
 class _Layer:
@@ -27,7 +39,6 @@ class _Layer:
     def __init__(self, n: int, cap: int):
         self.nbr = np.full((n, cap), -1, dtype=np.int64)
         self.cnt = np.zeros(n, dtype=np.int64)
-        self.cap = cap
 
     def neighbors(self, v: int) -> np.ndarray:
         return self.nbr[v, : self.cnt[v]]
@@ -62,10 +73,9 @@ class HnswIndex:
         rng = rng if rng is not None else Rng(0)
         level_mult = 1.0 / np.log(m)
         levels = (-np.log(rng.random(n)) * level_mult).astype(np.int64)
-        self._layers: list[_Layer] = []
-        self._entry: int | None = None
-        for i in range(n):
-            self._insert(i, int(levels[i]))
+        self._entry = int(np.argmax(levels))  # the lowest id at the top level
+        self._layers = [self._build_layer(np.flatnonzero(levels >= lc), self.m0 if lc == 0 else self.m)
+                        for lc in range(int(levels.max()) + 1)]
 
     def __len__(self) -> int:
         return len(self.features)
@@ -79,46 +89,37 @@ class HnswIndex:
         diff = self.features[i] - q
         return float(diff @ diff)
 
-    def _new_layer(self) -> _Layer:
-        cap = self.m0 if not self._layers else self.m
-        return _Layer(len(self.features), cap)
-
     # -- construction --------------------------------------------------------
 
-    def _insert(self, i: int, level: int):
-        if self._entry is None:
-            for _ in range(level + 1):
-                self._layers.append(self._new_layer())
-            self._entry = i
-            return
-        q = self.features[i]
-        qq = float(self._norms[i])
-        top = len(self._layers) - 1
-        cur = self._entry
-        curd = self._dist_one(q, cur)
-        for layer_idx in range(top, level, -1):
-            cur, curd = self._descend(q, qq, cur, curd, self._layers[layer_idx])
-        entry = (curd, cur)
-        for layer_idx in range(min(level, top), -1, -1):
-            layer = self._layers[layer_idx]
-            found = self._search_layer(q, qq, entry, self.ef_construction, layer)
-            neighbors = self._select_heuristic(found, self.m)
-            layer.set_neighbors(i, [j for _, j in neighbors])
-            for d, j in neighbors:
-                links = layer.neighbors(j)
-                if len(links) + 1 <= layer.cap:
-                    layer.nbr[j, layer.cnt[j]] = i
-                    layer.cnt[j] += 1
-                else:
-                    extended = np.append(links, i)
-                    dl = self._dist_many(self.features[j], float(self._norms[j]), extended)
-                    cand = sorted(zip(dl.tolist(), extended.tolist()))
-                    layer.set_neighbors(j, [x for _, x in self._select_heuristic(cand, layer.cap)])
-            entry = found[0]  # descend from the closest point found
-        for _ in range(top + 1, level + 1):
-            layer = self._new_layer()
-            self._layers.append(layer)
-            self._entry = i
+    def _build_layer(self, members: np.ndarray, cap: int) -> _Layer:
+        """Link one layer's members: each keeps the heuristic pick of m
+        among its ef_construction nearest other members, then the heuristic
+        pick of cap among those forward links and the reverse links onto it."""
+        n = len(self.features)
+        layer = _Layer(n, cap)
+        k = min(self.ef_construction, len(members) - 1)
+        if k == 0:
+            return layer
+        feats = self.features[members]
+        src, dst = [], []
+        rows = max(1, _BLOCK_ELEMS // len(members))
+        for start in range(0, len(members), rows):
+            d2 = sqdist(feats[start:start + rows], feats)
+            block = np.arange(len(d2))
+            d2[block, start + block] = np.inf  # a node is not its own candidate
+            cand = members[smallest_k(d2, k)]
+            for v, ids in zip(members[start:start + rows].tolist(), cand):
+                kept = self._select_heuristic(v, ids, self.m)
+                src.append(np.full(len(kept), v))
+                dst.append(kept)
+        src, dst = np.concatenate(src), np.concatenate(dst)
+        # each link, listed once at each of its ends, sorted by (node, other)
+        pairs = np.unique(np.concatenate([src * n + dst, dst * n + src]))
+        node, other = pairs // n, pairs % n
+        bounds = np.searchsorted(node, members).tolist() + [len(node)]
+        for i, v in enumerate(members.tolist()):
+            layer.set_neighbors(v, self._select_heuristic(v, other[bounds[i]:bounds[i + 1]], cap))
+        return layer
 
     def _descend(self, q, qq: float, cur: int, curd: float, layer: _Layer) -> tuple[int, float]:
         while True:
@@ -163,26 +164,33 @@ class HnswIndex:
                     worst = -best[0][0]
         return sorted((-nd, i) for nd, i in best)
 
-    def _select_heuristic(self, candidates, cap: int) -> list[tuple[float, int]]:
-        """Diversifying neighbor selection: keep a candidate only if it is
-        closer to the query than to every already-kept neighbor."""
-        if len(candidates) <= cap:
-            return list(candidates)
-        ids = np.array([i for _, i in candidates], dtype=np.int64)
-        d_to_q = np.array([d for d, _ in candidates])
+    def _select_heuristic(self, v: int, ids: np.ndarray, cap: int) -> np.ndarray:
+        """Diversifying pick of at most cap of the candidate ids for node v:
+        in order of (distance to v, id), keep a candidate only if it is no
+        farther from v than from every already-kept one. Both sides of that
+        test use one formula, so exact duplicates tie and are kept."""
+        if len(ids) <= cap:
+            return ids
         f = self.features[ids]
         norms = self._norms[ids]
-        # min distance from each candidate to the kept set, updated lazily
+
+        def dist_to(x, xx):
+            return norms - 2.0 * (f @ x) + xx
+
+        d_to_v = dist_to(self.features[v], self._norms[v])
+        order = np.lexsort((ids, d_to_v))
+        f, norms, ids, d_to_v = f[order], norms[order], ids[order], d_to_v[order]
+        # min distance from each candidate to the kept set
         min_to_kept = np.full(len(ids), np.inf)
-        out = []
-        for a in range(len(ids)):
-            if min_to_kept[a] >= d_to_q[a]:
-                out.append((float(d_to_q[a]), int(ids[a])))
-                if len(out) == cap:
-                    break
-                d_a = norms + norms[a] - 2.0 * (f @ f[a])
-                np.minimum(min_to_kept, d_a, out=min_to_kept)
-        return out
+        kept = [0]
+        while len(kept) < cap:
+            a = kept[-1]
+            np.minimum(min_to_kept, dist_to(f[a], norms[a]), out=min_to_kept)
+            ok = min_to_kept[a + 1:] >= d_to_v[a + 1:]
+            if not ok.any():
+                break
+            kept.append(a + 1 + int(ok.argmax()))
+        return ids[kept]
 
     # -- queries -------------------------------------------------------------
 

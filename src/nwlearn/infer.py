@@ -25,7 +25,7 @@ from .kmeans import kmeans
 from .nwhead import cross_entropy, nw_vote, onehot
 from .optim import Adam
 from .rng import Rng
-from .tensor import Tape, backward, sqdist
+from .tensor import Tape, backward, smallest_k, sqdist
 
 log = logging.getLogger(__name__)
 
@@ -177,9 +177,8 @@ def _exact_neighbors(cache: FeatureCache, q: np.ndarray, k: int) -> tuple[np.nda
     """(indices, distances) of the k nearest cached rows per query; ties in
     distance break toward the lower dataset index."""
     d2 = sqdist(q, cache.features)
-    order = np.argsort(d2, axis=1, kind="stable")[:, :k]
-    rows = np.arange(len(q))[:, None]
-    return order, np.sqrt(d2[rows, order])
+    idx = smallest_k(d2, k)
+    return idx, np.sqrt(np.take_along_axis(d2, idx, axis=1))
 
 
 def knn_predict(cache: FeatureCache, query_feats, k: int, exact: bool = True,

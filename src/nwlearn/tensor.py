@@ -5,7 +5,8 @@ on an explicit :class:`Tape`: watch the parameters, run the forward pass,
 then call :func:`backward` once. Ops record a node only when an input sits
 on a live tape, so the identical code path serves training and inference.
 The plain-numpy :func:`sqdist` and :func:`softmax` compute the forward of
-the taped distance and softmax, and the untaped inference vote.
+the taped distance and softmax, and the untaped inference vote;
+:func:`smallest_k` is the one "k nearest by (distance, index)" selection.
 """
 
 from __future__ import annotations
@@ -102,6 +103,23 @@ def sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     aa = (a * a).sum(axis=1)[:, None]
     bb = (b * b).sum(axis=1)[None, :]
     return np.maximum(aa + bb - 2.0 * (a @ b.T), 0.0)
+
+
+def smallest_k(d: np.ndarray, k: int) -> np.ndarray:
+    """Column indices of the k smallest entries of each row of ``d``,
+    ordered by (value, column): the first k columns of a stable argsort.
+
+    A partition keeps k entries per row and only those are sorted; rows
+    where a value tied with the k-th also sits beyond position k, possibly
+    at a lower column, fall back to the stable argsort.
+    """
+    part = np.argpartition(d, k - 1, axis=1)[:, :k]
+    vals = np.take_along_axis(d, part, axis=1)
+    out = np.take_along_axis(part, np.lexsort((part, vals), axis=1), axis=1)
+    straddle = np.flatnonzero(np.count_nonzero(d <= vals.max(axis=1, keepdims=True), axis=1) > k)
+    if straddle.size:
+        out[straddle] = np.argsort(d[straddle], axis=1, kind="stable")[:, :k]
+    return out
 
 
 def softmax(x: np.ndarray) -> np.ndarray:

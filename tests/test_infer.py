@@ -265,6 +265,25 @@ def test_dump_neighbors_sorted_and_matches_bruteforce():
         assert [i for i, _, _, _ in entry] == order.tolist()
 
 
+def test_exact_neighbors_break_boundary_ties_toward_lower_index():
+    # every row appears twice (rows i and i + 30), and odd k puts one twin on
+    # each side of position k; integer features make the tied distances exact
+    gen = np.random.default_rng(28)
+    base = gen.integers(-2, 3, size=(30, 4)).astype(np.float64)
+    feats = np.concatenate([base, base])
+    labels = gen.integers(0, 3, size=60)
+    cache = FeatureCache(feats, labels, gen.integers(0, 2, size=60), 3)
+    q = gen.integers(-2, 3, size=(8, 4)).astype(np.float64)
+    d = ((feats[None, :, :] - q[:, None, :]) ** 2).sum(axis=2)
+    for k in (1, 7, 21):
+        order = np.argsort(d, axis=1, kind="stable")[:, :k]
+        neighbors, _ = dump_neighbors(cache, q, top_k=k)
+        assert [[i for i, _, _, _ in entry] for entry in neighbors] == order.tolist()
+        expected = np.stack([nw_head(q[i:i + 1], feats[order[i]], labels[order[i]], 3)[0]
+                             for i in range(len(q))])
+        assert np.abs(knn_predict(cache, q, k) - expected).max() < 1e-12
+
+
 def test_dump_neighbors_single_env_histogram_is_one_hot():
     cache = make_cache(n_envs=1, seed=27)
     _, histogram = dump_neighbors(cache, np.zeros((2, 5)), top_k=5)

@@ -13,6 +13,7 @@ from nwlearn.tensor import (
     pairwise_sqdist,
     relu,
     scale,
+    smallest_k,
     softmax_rows,
     sqrt,
     sub,
@@ -230,3 +231,12 @@ def test_adam_trajectory_is_deterministic():
 
     first, second = run(), run()
     assert (first == second).all()
+
+
+def test_smallest_k_is_the_head_of_a_stable_argsort():
+    # few distinct values, so ties straddle position k in most rows
+    gen = np.random.default_rng(12)
+    for n in (1, 2, 7, 40):
+        d = gen.integers(0, 4, size=(30, n)).astype(np.float64)
+        for k in range(1, n + 1):
+            assert np.array_equal(smallest_k(d, k), np.argsort(d, axis=1, kind="stable")[:, :k])
