@@ -1,13 +1,17 @@
 """Test-time inference modes over a frozen feature extractor.
 
 All modes precompute training features once into a FeatureCache and then
-apply one NW vote (``nwhead.nw_vote``) with differently assembled
-supports: Random (k per class), Full (entire training set, class-balanced
-by row multiplicities), Ensemble (average of per-environment predictions),
-Cluster (per-class k-means centroids), exact k-NN and HNSW, plus a linear
-probe trained on the frozen features. Exact k-NN at k = |cache| is the
-unweighted vote over every training row, the support ``nw_unbalanced`` is
-selected and tested on; the other NW variants are selected on Full.
+apply an NW vote with differently assembled supports: Random (k per
+class), Full (entire training set, class-balanced by per-class weights),
+Ensemble (average of per-environment predictions), Cluster (per-class
+k-means centroids), exact k-NN and HNSW, plus a linear probe trained on
+the frozen features. Supports shared by every query (Random, Full,
+Ensemble, Cluster, and exact k-NN at k = |cache|) vote through the
+row-blocked ``nwhead.nw_vote_shared``; k-NN and HNSW, whose support
+differs by query, through ``nwhead.nw_vote``. Exact k-NN at k = |cache|
+is the unweighted vote over every training row, the support
+``nw_unbalanced`` is selected and tested on; the other NW variants are
+selected on Full.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from .errors import ConfigError, ContractError, CoverageError
 from .featnet import FeatureNet, LinearHead
 from .hnsw import HnswIndex
 from .kmeans import kmeans
-from .nwhead import cross_entropy, nw_vote, onehot
+from .nwhead import cross_entropy, nw_vote, nw_vote_shared, onehot
 from .optim import Adam
 from .rng import Rng
 from .tensor import Tape, backward, smallest_k, sqdist
@@ -74,13 +78,14 @@ def build_cache(net: FeatureNet, ds_train: Dataset) -> FeatureCache:
     return FeatureCache(feats, ds_train.y, ds_train.e, ds_train.n_classes)
 
 
-def _balanced_weights(buckets: dict[int, np.ndarray], require_all: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Class-balance by weighting every row of a class at max_count/count.
+def _balanced_weights(buckets: dict[int, np.ndarray], require_all: bool) -> np.ndarray:
+    """Class-balance by weighting every row of class c at max_count/count_c.
 
     The exact fractional form of duplicating minority rows up to the
     majority count: every datapoint participates, the vote is unchanged
     when counts already match, and the result cannot depend on row order.
-    Returns (row indices, per-row multiplicities).
+    ``buckets`` maps every class 0..C-1 to its rows; returns the (C,)
+    per-class weights, 0 for a class without rows.
     """
     sizes = {c: len(b) for c, b in buckets.items()}
     populated = [c for c, n in sizes.items() if n]
@@ -91,20 +96,7 @@ def _balanced_weights(buckets: dict[int, np.ndarray], require_all: bool) -> tupl
             if n == 0:
                 raise CoverageError(f"no examples of class {c} in cache", class_id=c)
     target = max(sizes[c] for c in populated)
-    idx = np.concatenate([buckets[c] for c in sorted(populated)])
-    weights = np.concatenate([np.full(sizes[c], target / sizes[c]) for c in sorted(populated)])
-    return idx, weights
-
-
-def _weighted_nw(q: np.ndarray, feats: np.ndarray, labels, n_classes: int,
-                 weights: np.ndarray | None = None) -> np.ndarray:
-    """NW vote of every query over every row of ``feats``, with optional
-    per-row multiplicities: exp(-d) * w is softmax over similarity shifted
-    by log(w)."""
-    logits = -np.sqrt(sqdist(q, feats))
-    if weights is not None:
-        logits += np.log(weights)
-    return nw_vote(logits, onehot(labels, n_classes))
+    return np.array([target / sizes[c] if sizes[c] else 0.0 for c in sorted(sizes)])
 
 
 def predict(mode: InferenceMode, cache: FeatureCache, query_feats, rng: Rng | None = None,
@@ -125,11 +117,11 @@ def predict(mode: InferenceMode, cache: FeatureCache, query_feats, rng: Rng | No
                 log.warning("class %d has %d cached rows; drawing %d with replacement", c, len(bucket), mode.k)
             parts.append(rng.choice(bucket, size=mode.k, replace=replace))
         idx = np.concatenate(parts)
-        return _weighted_nw(q, cache.features[idx], cache.labels[idx], cache.n_classes)
+        return nw_vote_shared(q, cache.features[idx], onehot(cache.labels[idx], cache.n_classes))
 
     if mode.kind == "full":
-        idx, weights = _balanced_weights(cache.by_class, require_all=True)
-        return _weighted_nw(q, cache.features[idx], cache.labels[idx], cache.n_classes, weights)
+        weights = _balanced_weights(cache.by_class, require_all=True)
+        return nw_vote_shared(q, cache.features, onehot(cache.labels, cache.n_classes), weights)
 
     if mode.kind == "ensemble":
         per_env = []
@@ -141,9 +133,10 @@ def predict(mode: InferenceMode, cache: FeatureCache, query_feats, rng: Rng | No
                 continue
             if missing:
                 log.warning("environment %s is missing classes %s; its vote covers the rest", env, missing)
-            idx, weights = _balanced_weights(buckets, require_all=False)
-            per_env.append(_weighted_nw(q, cache.features[idx], cache.labels[idx],
-                                        cache.n_classes, weights))
+            weights = _balanced_weights(buckets, require_all=False)
+            rows = cache.envs == env
+            per_env.append(nw_vote_shared(q, cache.features[rows],
+                                          onehot(cache.labels[rows], cache.n_classes), weights))
         if not per_env:
             raise CoverageError("no environment could form a support")
         return np.mean(per_env, axis=0)
@@ -160,7 +153,7 @@ def predict(mode: InferenceMode, cache: FeatureCache, query_feats, rng: Rng | No
             centroids, _, _ = kmeans(cache.features[bucket], k, rng)
             feats_parts.append(centroids)
             label_parts.extend([c] * len(centroids))
-        return _weighted_nw(q, np.concatenate(feats_parts), label_parts, cache.n_classes)
+        return nw_vote_shared(q, np.concatenate(feats_parts), onehot(label_parts, cache.n_classes))
 
     if mode.kind in ("knn", "hnsw"):
         return knn_predict(cache, q, mode.k, exact=(mode.kind == "knn"), rng=rng, index=index)
@@ -194,7 +187,7 @@ def knn_predict(cache: FeatureCache, query_feats, k: int, exact: bool = True,
         raise ContractError(f"k must be in [1, {len(cache)}], got {k}")
     q = np.atleast_2d(np.asarray(query_feats, dtype=np.float64))
     if exact and k == len(cache):
-        return _weighted_nw(q, cache.features, cache.labels, cache.n_classes)
+        return nw_vote_shared(q, cache.features, onehot(cache.labels, cache.n_classes))
     if exact:
         idx, dist = _exact_neighbors(cache, q, k)
     else:
@@ -203,7 +196,10 @@ def knn_predict(cache: FeatureCache, query_feats, k: int, exact: bool = True,
         idx = np.empty((len(q), k), dtype=np.int64)
         dist = np.empty((len(q), k))
         for i, row in enumerate(q):
-            idx[i], dist[i] = index.search(row, k)
+            found, found_dist = index.search(row, k)
+            if len(found) < k:
+                raise CoverageError(f"HNSW search found {len(found)} ids for query {i}, fewer than k = {k}")
+            idx[i], dist[i] = found, found_dist
     return nw_vote(-dist, onehot(cache.labels[idx], cache.n_classes))
 
 

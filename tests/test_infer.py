@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from nwlearn.infer import (
     train_probe,
 )
 from nwlearn.kmeans import kmeans
-from nwlearn.nwhead import nw_predict, nw_vote, onehot
+from nwlearn.nwhead import _VOTE_BLOCK, nw_predict, nw_vote, nw_vote_shared, onehot
 from nwlearn.support import SupportBatch
 from nwlearn.tensor import Tensor, pairwise_sqdist, sqdist
 
@@ -191,9 +193,86 @@ def test_numpy_vote_and_distance_match_the_taped_head():
     y = gen.integers(0, 3, size=40)
     assert np.array_equal(pairwise_sqdist(q, feats).data, sqdist(q, feats))
     logits = -np.sqrt(sqdist(q, feats))
-    shared = nw_vote(logits, onehot(y, 3))
-    assert np.abs(shared - nw_vote(logits, np.broadcast_to(onehot(y, 3), (6, 40, 3)))).max() < 1e-15
+    shared = nw_vote_shared(q, feats, onehot(y, 3))
+    assert np.abs(shared - nw_vote(logits, np.broadcast_to(onehot(y, 3), (6, 40, 3)))).max() < 1e-12
     assert np.abs(shared - nw_head(q, feats, y, 3)).max() < 1e-12
+    with pytest.raises(ContractError):
+        nw_vote(logits, onehot(y, 3))
+
+
+def reference_vote(q, feats, labels, n_classes, balanced=False):
+    """softmax(-distance + log w) @ onehot, with w = max_count / count of
+    the row's class when ``balanced``; distances by explicit differences."""
+    logits = -np.sqrt(((q[:, None, :] - feats[None, :, :]) ** 2).sum(axis=2))
+    if balanced:
+        counts = np.bincount(labels, minlength=n_classes)
+        logits = logits + np.log(counts.max() / counts[labels])
+    w = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return (w / w.sum(axis=1, keepdims=True)) @ np.eye(n_classes)[labels]
+
+
+def shared_support_cases(cache, q):
+    """(mode label, predict output, independent reference) for every mode
+    that votes over one support shared by every query."""
+    rng = Rng(41)
+    idx = np.concatenate([rng.choice(bucket, size=3, replace=False)
+                          for _, bucket in sorted(cache.by_class.items())])
+    random_ref = reference_vote(q, cache.features[idx], cache.labels[idx], cache.n_classes)
+    rng = Rng(42)
+    centroids = np.concatenate([kmeans(cache.features[bucket], 3, rng)[0]
+                                for _, bucket in sorted(cache.by_class.items())])
+    cluster_ref = reference_vote(q, centroids, np.repeat(np.arange(cache.n_classes), 3), cache.n_classes)
+    per_env = [reference_vote(q, cache.features[cache.envs == env], cache.labels[cache.envs == env],
+                              cache.n_classes, balanced=True) for env in cache.env_ids]
+    n = len(cache)
+    return [
+        ("full", predict(InferenceMode("full"), cache, q),
+         reference_vote(q, cache.features, cache.labels, cache.n_classes, balanced=True)),
+        ("knn", predict(InferenceMode("knn", n), cache, q),
+         reference_vote(q, cache.features, cache.labels, cache.n_classes)),
+        ("random", predict(InferenceMode("random", 3), cache, q, rng=Rng(41)), random_ref),
+        ("cluster", predict(InferenceMode("cluster", 3), cache, q, rng=Rng(42)), cluster_ref),
+        ("ensemble", predict(InferenceMode("ensemble"), cache, q), np.mean(per_env, axis=0)),
+    ]
+
+
+@pytest.mark.parametrize("nq", [1, _VOTE_BLOCK - 1, _VOTE_BLOCK, _VOTE_BLOCK + 1, 0])
+def test_shared_support_modes_match_an_independent_vote(nq):
+    # unbalanced classes, and environment 1 has no row of class 2
+    gen = np.random.default_rng(43)
+    labels = np.array([0] * 40 + [1] * 25 + [2] * 15)
+    envs = np.array([0] * 30 + [1] * 10 + [0] * 10 + [1] * 15 + [0] * 15)
+    cache = FeatureCache(gen.normal(size=(80, 5)) + labels[:, None], labels, envs, 3)
+    assert len(cache.by_env_class[(1, 2)]) == 0
+    q = gen.normal(size=(nq, 5))
+    for label, got, expected in shared_support_cases(cache, q):
+        assert got.shape == (nq, 3), label
+        assert np.abs(got - expected).max(initial=0.0) < 1e-12, label
+
+
+def test_shared_support_vote_of_a_far_query_is_a_finite_simplex():
+    cache = make_cache(seed=44)
+    q = np.full((2, 5), 500.0)
+    assert np.sqrt(sqdist(q, cache.features)).min() > 800
+    for label, got, expected in shared_support_cases(cache, q):
+        assert np.isfinite(got).all(), label
+        assert (got >= 0).all() and np.abs(got.sum(axis=1) - 1.0).max() < 1e-12, label
+        assert np.abs(got - expected).max() < 1e-9, label
+
+
+def test_full_mode_peak_memory_stays_below_one_distance_matrix():
+    gen = np.random.default_rng(45)
+    cache = FeatureCache(gen.normal(size=(3000, 16)), gen.integers(0, 2, size=3000),
+                         gen.integers(0, 2, size=3000), 2)
+    q = gen.normal(size=(2000, 16))
+    full_matrix = 2000 * 3000 * 8  # one (nq, m) float64 matrix: 48 MB
+    tracemalloc.start()
+    try:
+        predict(InferenceMode("full"), cache, q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < full_matrix / 4
 
 
 def test_knn_bounds():
@@ -202,6 +281,13 @@ def test_knn_bounds():
         knn_predict(cache, np.zeros((1, 5)), k=0)
     with pytest.raises(ContractError):
         knn_predict(cache, np.zeros((1, 5)), k=len(cache) + 1)
+
+
+def test_short_hnsw_result_raises_coverage_error():
+    # over identical rows the beam search reaches fewer than k of them
+    cache = FeatureCache(np.ones((60, 4)), np.arange(60) % 2, np.zeros(60, dtype=int), 2)
+    with pytest.raises(CoverageError, match=r"found \d+ ids .* k = 40"):
+        knn_predict(cache, np.ones((1, 4)), k=40, exact=False)
 
 
 def test_hnsw_matches_exact_on_most_queries():
