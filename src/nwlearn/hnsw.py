@@ -4,25 +4,29 @@
 A layered proximity graph over a fixed feature matrix. Each node draws a
 level, and layer l holds the nodes whose level is at least l, so the base
 layer holds every node. The build links one layer at a time from exact
-candidate lists: each member's ef_construction nearest other members, by
-(squared distance, id), come from row blocks of one distance matrix; the
-diversifying heuristic picks m forward links among them; each member's
-list is then the heuristic's pick of the layer cap (2m on the base layer,
-m above) among its forward links and the reverse links onto it. A query
-descends greedily through the upper layers from the entry node, the lowest
-id at the top level, then runs a best-first beam search on the base layer.
-Distances are squared Euclidean internally (monotone in the true
-distance). Only the level draws consume randomness; given the Rng the
-build is deterministic, with ties broken by node id.
+candidate lists: each member's ef_construction nearest other members come
+from row blocks of one distance matrix; the diversifying heuristic picks m
+forward links among them; each member's list is then the heuristic's pick
+of the layer cap (2m on the base layer, m above) among its forward links
+and the reverse links onto it. Ties in distance break by the rotated id
+(id - v - 1) mod n of the node v being linked, so exact duplicates link to
+each other around a ring instead of all to the lowest ids.
+
+A query computes one squared-distance row to every node, then walks the
+layers' plain neighbour lists over it: a greedy descent through the upper
+layers from the entry node, the lowest id at the top level, then a
+best-first beam search on the base layer. Distances are squared Euclidean
+internally (monotone in the true distance). Only the level draws consume
+randomness; given the Rng the build is deterministic.
 """
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush, heapreplace
 
 import numpy as np
 
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, DomainError
 from .rng import Rng
 from .tensor import smallest_k, sqdist
 
@@ -31,22 +35,6 @@ DEFAULT_EF_CONSTRUCTION = 200
 DEFAULT_EF_SEARCH = 100
 # entries of one squared-distance block in the build, bounding its memory
 _BLOCK_ELEMS = 1 << 18
-
-
-class _Layer:
-    """Fixed-capacity adjacency: nbr[v, :cnt[v]] are v's neighbor ids."""
-
-    def __init__(self, n: int, cap: int):
-        self.nbr = np.full((n, cap), -1, dtype=np.int64)
-        self.cnt = np.zeros(n, dtype=np.int64)
-
-    def neighbors(self, v: int) -> np.ndarray:
-        return self.nbr[v, : self.cnt[v]]
-
-    def set_neighbors(self, v: int, ids):
-        k = len(ids)
-        self.nbr[v, :k] = ids
-        self.cnt[v] = k
 
 
 class HnswIndex:
@@ -61,6 +49,8 @@ class HnswIndex:
         feats = np.ascontiguousarray(features, dtype=np.float64)
         if feats.ndim != 2 or len(feats) == 0:
             raise ContractError("HnswIndex needs a non-empty feature matrix")
+        if not np.isfinite(feats).all():
+            raise DomainError("HnswIndex features must be finite")
         if m < 2 or ef_construction < 1 or ef_search < 1:
             raise ConfigError(f"bad HNSW params m={m}, ef_construction={ef_construction}, ef_search={ef_search}")
         self.features = feats
@@ -74,32 +64,24 @@ class HnswIndex:
         level_mult = 1.0 / np.log(m)
         levels = (-np.log(rng.random(n)) * level_mult).astype(np.int64)
         self._entry = int(np.argmax(levels))  # the lowest id at the top level
+        # _layers[l][v] lists v's neighbour ids on layer l, empty off the layer
         self._layers = [self._build_layer(np.flatnonzero(levels >= lc), self.m0 if lc == 0 else self.m)
                         for lc in range(int(levels.max()) + 1)]
 
     def __len__(self) -> int:
         return len(self.features)
 
-    # -- distance helpers (squared, via ||x||^2 - 2 x.q + ||q||^2) ----------
-
-    def _dist_many(self, q: np.ndarray, qq: float, ids) -> np.ndarray:
-        return self._norms[ids] - 2.0 * (self.features[ids] @ q) + qq
-
-    def _dist_one(self, q: np.ndarray, i: int) -> float:
-        diff = self.features[i] - q
-        return float(diff @ diff)
-
     # -- construction --------------------------------------------------------
 
-    def _build_layer(self, members: np.ndarray, cap: int) -> _Layer:
+    def _build_layer(self, members: np.ndarray, cap: int) -> list[list[int]]:
         """Link one layer's members: each keeps the heuristic pick of m
         among its ef_construction nearest other members, then the heuristic
         pick of cap among those forward links and the reverse links onto it."""
         n = len(self.features)
-        layer = _Layer(n, cap)
+        adj = [[] for _ in range(n)]
         k = min(self.ef_construction, len(members) - 1)
         if k == 0:
-            return layer
+            return adj
         feats = self.features[members]
         src, dst = [], []
         rows = max(1, _BLOCK_ELEMS // len(members))
@@ -107,8 +89,14 @@ class HnswIndex:
             d2 = sqdist(feats[start:start + rows], feats)
             block = np.arange(len(d2))
             d2[block, start + block] = np.inf  # a node is not its own candidate
-            cand = members[smallest_k(d2, k)]
-            for v, ids in zip(members[start:start + rows].tolist(), cand):
+            pos = smallest_k(d2, k)
+            # a row whose k-th candidate ties a value beyond it takes the tied
+            # ones in rotated order, starting just after the row's own node
+            kth = np.take_along_axis(d2, pos[:, -1:], axis=1)
+            for r in np.flatnonzero(np.count_nonzero(d2 <= kth, axis=1) > k).tolist():
+                shift = start + r + 1
+                pos[r] = (np.argsort(np.roll(d2[r], -shift), kind="stable")[:k] + shift) % len(members)
+            for v, ids in zip(members[start:start + rows].tolist(), members[pos]):
                 kept = self._select_heuristic(v, ids, self.m)
                 src.append(np.full(len(kept), v))
                 dst.append(kept)
@@ -118,57 +106,14 @@ class HnswIndex:
         node, other = pairs // n, pairs % n
         bounds = np.searchsorted(node, members).tolist() + [len(node)]
         for i, v in enumerate(members.tolist()):
-            layer.set_neighbors(v, self._select_heuristic(v, other[bounds[i]:bounds[i + 1]], cap))
-        return layer
-
-    def _descend(self, q, qq: float, cur: int, curd: float, layer: _Layer) -> tuple[int, float]:
-        while True:
-            neigh = layer.neighbors(cur)
-            if len(neigh) == 0:
-                return cur, curd
-            dists = self._dist_many(q, qq, neigh)
-            j = int(np.argmin(dists))
-            if dists[j] < curd:
-                cur, curd = int(neigh[j]), float(dists[j])
-            else:
-                return cur, curd
-
-    def _search_layer(self, q, qq: float, entry: tuple[float, int], ef: int,
-                      layer: _Layer) -> list[tuple[float, int]]:
-        """Beam search from one entry; returns (dist, id) ascending."""
-        visited = np.zeros(len(self.features), dtype=bool)
-        visited[entry[1]] = True
-        cand = [entry]
-        best = [(-entry[0], entry[1])]
-        worst = entry[0]
-        n_best = 1
-        while cand:
-            d, i = heapq.heappop(cand)
-            if n_best >= ef and d > worst:
-                break
-            neigh = layer.neighbors(i)
-            ids = neigh[~visited[neigh]]
-            if ids.size == 0:
-                continue
-            visited[ids] = True
-            dists = self._dist_many(q, qq, ids)
-            for j, dj in zip(ids.tolist(), dists.tolist()):
-                if n_best < ef:
-                    heapq.heappush(best, (-dj, j))
-                    heapq.heappush(cand, (dj, j))
-                    n_best += 1
-                    worst = -best[0][0]
-                elif dj < worst:
-                    heapq.heapreplace(best, (-dj, j))
-                    heapq.heappush(cand, (dj, j))
-                    worst = -best[0][0]
-        return sorted((-nd, i) for nd, i in best)
+            adj[v] = self._select_heuristic(v, other[bounds[i]:bounds[i + 1]], cap).tolist()
+        return adj
 
     def _select_heuristic(self, v: int, ids: np.ndarray, cap: int) -> np.ndarray:
         """Diversifying pick of at most cap of the candidate ids for node v:
-        in order of (distance to v, id), keep a candidate only if it is no
-        farther from v than from every already-kept one. Both sides of that
-        test use one formula, so exact duplicates tie and are kept."""
+        in order of (distance to v, rotated id), keep a candidate only if it
+        is no farther from v than from every already-kept one. Both sides of
+        that test use one formula, so exact duplicates tie and are kept."""
         if len(ids) <= cap:
             return ids
         f = self.features[ids]
@@ -178,7 +123,7 @@ class HnswIndex:
             return norms - 2.0 * (f @ x) + xx
 
         d_to_v = dist_to(self.features[v], self._norms[v])
-        order = np.lexsort((ids, d_to_v))
+        order = np.lexsort(((ids - v - 1) % len(self.features), d_to_v))
         f, norms, ids, d_to_v = f[order], norms[order], ids[order], d_to_v[order]
         # min distance from each candidate to the kept set
         min_to_kept = np.full(len(ids), np.inf)
@@ -200,14 +145,45 @@ class HnswIndex:
         q = np.ascontiguousarray(query, dtype=np.float64).reshape(-1)
         if k < 1 or k > len(self.features):
             raise ContractError(f"k must be in [1, {len(self.features)}], got {k}")
+        if not np.isfinite(q).all():  # NaN distances never end the descent
+            raise DomainError("HNSW query must be finite")
         ef = max(ef_search if ef_search is not None else self.ef_search, k)
-        qq = float(q @ q)
+        # squared distance to every node, via ||x||^2 - 2 x.q + ||q||^2, read
+        # through a memoryview: a search reads a fraction of the row, and
+        # each read makes one Python float
+        dist = (self._norms - 2.0 * (self.features @ q) + float(q @ q)).data
         cur = self._entry
-        curd = self._dist_one(q, cur)
-        for layer_idx in range(len(self._layers) - 1, 0, -1):
-            cur, curd = self._descend(q, qq, cur, curd, self._layers[layer_idx])
-        found = self._search_layer(q, qq, (curd, cur), ef, self._layers[0])[:k]
+        for layer in self._layers[:0:-1]:  # greedy descent to the base layer
+            while layer[cur]:
+                j = min(layer[cur], key=dist.__getitem__)
+                if dist[j] >= dist[cur]:
+                    break
+                cur = j
+        # best-first beam search: cand is a min-heap of (dist, id) to expand,
+        # best a max-heap of the ef nearest found so far
+        base = self._layers[0]
+        visited = bytearray(len(base))
+        visited[cur] = 1
+        worst = dist[cur]
+        cand, best = [(worst, cur)], [(-worst, cur)]
+        while cand:
+            d, i = heappop(cand)
+            if d > worst and len(best) >= ef:
+                break
+            for j in base[i]:
+                if visited[j]:
+                    continue
+                visited[j] = 1
+                dj = dist[j]
+                if len(best) < ef:
+                    heappush(best, (-dj, j))
+                elif dj < worst:
+                    heapreplace(best, (-dj, j))
+                else:
+                    continue
+                heappush(cand, (dj, j))
+                worst = -best[0][0]
+        found = sorted((-nd, i) for nd, i in best)[:k]
         idx = np.array([i for _, i in found], dtype=np.int64)
         # the norm expansion can go epsilon-negative at zero distance
-        dist = np.sqrt(np.maximum(np.array([d for d, _ in found]), 0.0))
-        return idx, dist
+        return idx, np.sqrt(np.maximum([d for d, _ in found], 0.0))

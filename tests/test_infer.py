@@ -284,10 +284,13 @@ def test_knn_bounds():
 
 
 def test_short_hnsw_result_raises_coverage_error():
-    # over identical rows the beam search reaches fewer than k of them
+    class ShortIndex:  # a graph that reaches fewer than k rows
+        def search(self, row, k):
+            return np.arange(k - 7), np.zeros(k - 7)
+
     cache = FeatureCache(np.ones((60, 4)), np.arange(60) % 2, np.zeros(60, dtype=int), 2)
-    with pytest.raises(CoverageError, match=r"found \d+ ids .* k = 40"):
-        knn_predict(cache, np.ones((1, 4)), k=40, exact=False)
+    with pytest.raises(CoverageError, match=r"found 33 ids .* k = 40"):
+        knn_predict(cache, np.ones((1, 4)), k=40, exact=False, index=ShortIndex())
 
 
 def test_hnsw_matches_exact_on_most_queries():
