@@ -14,21 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractError
-from .tensor import (
-    Tensor,
-    add,
-    log,
-    matmul,
-    mul,
-    pairwise_sqdist,
-    scale,
-    softmax,
-    softmax_rows,
-    sqdist,
-    sqrt,
-    sum_all,
-)
+from .errors import ContractError, DomainError, ShapeError
+from .tensor import Tensor, _result, _wrap, pairwise_sqdist, scale, softmax, softmax_rows, sqdist, sqrt
 
 # keeps the log in cross_entropy finite when a class weight underflows
 _CE_EPS = 1e-15
@@ -49,13 +36,35 @@ def nw_predict(query_feats, support) -> Tensor:
 
     ``support`` is a SupportBatch whose ``features`` live in the same space
     as ``query_feats``. Differentiable end-to-end when the inputs sit on a
-    live tape.
+    live tape, as one taped node: the forward is the arithmetic of
+    ``softmax_rows(similarity(q, s)) @ labels``, and the hand-written VJP
+    runs that chain backwards (a zero distance gets the sqrt's subgradient
+    0).
     """
     labels = np.asarray(support.onehot_labels, dtype=np.float64)
     if labels.shape[0] == 0:
         raise ContractError("nw_predict needs a non-empty support set")
-    weights = softmax_rows(similarity(query_feats, support.features))
-    return matmul(weights, Tensor(labels))
+    q, s = _wrap(query_feats), _wrap(support.features)
+    if q.data.ndim != 2 or s.data.ndim != 2 or q.shape[1] != s.shape[1] or s.shape[0] != labels.shape[0]:
+        raise ShapeError(f"nw_predict: queries {q.shape}, support {s.shape}, labels {labels.shape}")
+    dist = sqdist(q.data, s.data)
+    if not np.isfinite(dist).all():
+        raise DomainError("nw_predict: non-finite squared distance")
+    np.sqrt(dist, out=dist)
+    weights = softmax(-1.0 * dist)
+
+    def vjp(g):
+        dw = g @ labels.T
+        dw -= (dw * weights).sum(axis=1, keepdims=True)
+        dw *= weights
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d2 = dw / (-2.0 * dist)
+        d2[dist == 0.0] = 0.0
+        gq = 2.0 * (q.data * d2.sum(axis=1)[:, None] - d2 @ s.data)
+        gs = 2.0 * (s.data * d2.sum(axis=0)[:, None] - d2.T @ q.data)
+        return gq, gs
+
+    return _result(weights @ labels, (q, s), vjp)
 
 
 def nw_vote_shared(q: np.ndarray, feats: np.ndarray, onehot_labels: np.ndarray,
@@ -66,20 +75,24 @@ def nw_vote_shared(q: np.ndarray, feats: np.ndarray, onehot_labels: np.ndarray,
     ``class_weights`` (C,) weights every row of class c by
     ``class_weights[c]``: the softmax over -distance + log(weight), since
     the weight is constant within a class. Queries go through in blocks of
-    ``_VOTE_BLOCK`` rows; each block's distance matrix is turned in place
-    into exp(min distance - distance) and summed per class by one GEMM.
+    ``_VOTE_BLOCK`` rows; each block's distance matrix is written into one
+    reused buffer, turned in place into exp(min distance - distance) and
+    summed per class by one GEMM.
     """
     out = np.empty((len(q), onehot_labels.shape[1]))
+    bb = (feats * feats).sum(axis=1)
+    w_buf = np.empty((min(len(q), _VOTE_BLOCK), len(feats)))
+    ab_buf = np.empty_like(w_buf)
     for start in range(0, len(q), _VOTE_BLOCK):
-        w = sqdist(q[start:start + _VOTE_BLOCK], feats)
+        block = q[start:start + _VOTE_BLOCK]
+        w = sqdist(block, feats, bb, out=w_buf[:len(block)], ab=ab_buf[:len(block)])
         np.sqrt(w, out=w)
         np.subtract(w.min(axis=1, keepdims=True), w, out=w)
         np.exp(w, out=w)
-        votes = w @ onehot_labels
+        votes = np.matmul(w, onehot_labels, out=out[start:start + len(block)])
         if class_weights is not None:
             votes *= class_weights
         votes /= votes.sum(axis=1, keepdims=True)
-        out[start:start + len(votes)] = votes
     return out
 
 
@@ -96,18 +109,25 @@ def nw_vote(logits: np.ndarray, onehot_labels: np.ndarray) -> np.ndarray:
 
 
 def cross_entropy(pred_probs, onehot_labels) -> Tensor:
-    """Mean negative log-probability of the true class.
+    """Mean negative log-probability of the true class, as one taped node.
 
     Only the true-class probabilities are selected before the log, so zero
     weights on other classes never hit the log domain check.
     """
-    probs = pred_probs if isinstance(pred_probs, Tensor) else Tensor(pred_probs)
+    probs = _wrap(pred_probs)
     labels = np.asarray(onehot_labels, dtype=np.float64)
     n, c = labels.shape
     if probs.shape != (n, c):
         raise ContractError(f"predictions {probs.shape} do not match labels {labels.shape}")
-    true_probs = matmul(mul(probs, Tensor(labels)), Tensor(np.ones((c, 1))))
-    return scale(sum_all(log(add(true_probs, _CE_EPS))), -1.0 / n)
+    coef = -1.0 / n
+    true_probs = (probs.data * labels).sum(axis=1) + _CE_EPS
+    if true_probs.min() <= 0.0:
+        raise DomainError(f"log of non-positive value {true_probs.min()}")
+
+    def vjp(g):
+        return (((coef * g) / true_probs)[:, None] * labels,)
+
+    return _result(coef * np.log(true_probs).sum(), (probs,), vjp)
 
 
 def onehot(labels, n_classes: int) -> np.ndarray:

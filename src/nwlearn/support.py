@@ -135,7 +135,10 @@ def sample_support(ds: Dataset, spec: SupportSpec, query_labels, rng: Rng) -> Su
                 )
             cover.append(int(rng.choice(bucket)))
         pool = ds.by_env[spec.env] if spec.env is not None else np.arange(len(ds))
-        remaining = np.setdiff1d(pool, np.array(cover, dtype=np.int64))
+        # pool is sorted and unique, so this is np.setdiff1d(pool, cover)
+        keep = np.ones(len(ds), dtype=bool)
+        keep[cover] = False
+        remaining = pool[keep[pool]]
         fill_n = total - len(cover)
         if fill_n == 0:
             fill = np.array([], dtype=np.int64)

@@ -94,15 +94,23 @@ class Tape:
         self._nodes.append((out, inputs, vjp))
 
 
-def sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def sqdist(a: np.ndarray, b: np.ndarray, bb: np.ndarray | None = None,
+           out: np.ndarray | None = None, ab: np.ndarray | None = None) -> np.ndarray:
     """Matrix of squared Euclidean distances: out[i, j] = ||a_i - b_j||^2.
 
-    Computed via the inner-product expansion and clipped at 0 to absorb
-    negative round-off.
+    Computed via the inner-product expansion (aa + bb) - 2ab and clipped at
+    0 to absorb negative round-off. A caller looping over row blocks of
+    ``a`` may pass ``b``'s squared row norms ``bb`` and two (len(a), len(b))
+    buffers ``out`` and ``ab`` to reuse; the result is bit-identical.
     """
     aa = (a * a).sum(axis=1)[:, None]
-    bb = (b * b).sum(axis=1)[None, :]
-    return np.maximum(aa + bb - 2.0 * (a @ b.T), 0.0)
+    if bb is None:
+        bb = (b * b).sum(axis=1)
+    ab = np.matmul(a, b.T, out=ab)
+    ab *= 2.0
+    out = np.add(aa, bb, out=out)
+    out -= ab
+    return np.maximum(out, 0.0, out=out)
 
 
 def smallest_k(d: np.ndarray, k: int) -> np.ndarray:
@@ -298,6 +306,20 @@ def pairwise_sqdist(a, b) -> Tensor:
     return _result(d, (a, b), vjp)
 
 
+def take_rows(x, start: int, stop: int) -> Tensor:
+    """Rows ``start:stop`` of a matrix; the gradient scatters back into zeros."""
+    x = _wrap(x)
+    if x.data.ndim != 2 or not 0 <= start <= stop <= x.shape[0]:
+        raise ShapeError(f"take_rows: rows {start}:{stop} of shape {x.shape}")
+
+    def vjp(g):
+        full = np.zeros_like(x.data)
+        full[start:stop] = g
+        return (full,)
+
+    return _result(x.data[start:stop], (x,), vjp)
+
+
 _PRIMITIVES = {
     "matmul": matmul,
     "add": add,
@@ -310,6 +332,7 @@ _PRIMITIVES = {
     "log": log,
     "sum": sum_all,
     "mean": mean_all,
+    "take_rows": take_rows,
 }
 
 

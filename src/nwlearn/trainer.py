@@ -7,6 +7,10 @@ balancing without environment conditioning (``nw_balanced``), neither
 (``nw_unbalanced``), and the parametric baselines ``erm`` /
 ``erm_balanced``. Model selection maximizes a metric on an
 out-of-distribution validation set.
+
+An NW training step is one support draw, one taped forward of the feature
+net over the query rows and every support's rows together, one taped
+``nw_predict`` node per support and one optimizer update.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from .support import (
     sample_query_batch,
     sample_support,
 )
-from .tensor import Tape, Tensor, backward, mul, scale, sub, sum_all
+from .tensor import Tape, Tensor, backward, mul, scale, sub, sum_all, take_rows
 
 log = logging.getLogger(__name__)
 
@@ -101,19 +105,30 @@ def _query_arrays(query_batch: list[LabeledExample], n_classes: int):
     return x, labels, onehot(labels, n_classes)
 
 
+def _embed(net: FeatureNet, query_x, *supports) -> tuple[Tensor, list]:
+    """One forward over the query rows and every support's rows: (query
+    features, each support re-bound to its features)."""
+    feats = net.extract(np.concatenate([query_x] + [s.features for s in supports]))
+    stop = len(query_x)
+    q_feats, embedded = take_rows(feats, 0, stop), []
+    for s in supports:
+        start, stop = stop, stop + len(s)
+        embedded.append(replace(s, features=take_rows(feats, start, stop)))
+    return q_feats, embedded
+
+
 def nw_ce_loss(net: FeatureNet, query_x, query_onehot, support) -> Tensor:
     """Cross-entropy of the NW vote for one query batch on one support."""
-    embedded = replace(support, features=net.extract(support.features))
-    probs = nw_predict(net.extract(query_x), embedded)
-    return cross_entropy(probs, query_onehot)
+    q_feats, (embedded,) = _embed(net, query_x, support)
+    return cross_entropy(nw_predict(q_feats, embedded), query_onehot)
 
 
 def _prediction_gap(net: FeatureNet, query_x, support_a, support_b) -> tuple[Tensor, Tensor]:
     """(predictions under support_a, mean over queries of the squared L2
     gap between the predictions under the two supports)."""
-    q_feats = net.extract(query_x)
-    pa = nw_predict(q_feats, replace(support_a, features=net.extract(support_a.features)))
-    pb = nw_predict(q_feats, replace(support_b, features=net.extract(support_b.features)))
+    q_feats, (emb_a, emb_b) = _embed(net, query_x, support_a, support_b)
+    pa = nw_predict(q_feats, emb_a)
+    pb = nw_predict(q_feats, emb_b)
     diff = sub(pa, pb)
     return pa, scale(sum_all(mul(diff, diff)), 1.0 / pa.shape[0])
 

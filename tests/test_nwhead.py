@@ -2,11 +2,24 @@ import numpy as np
 import pytest
 
 from nwlearn import Rng, grad_check
-from nwlearn.errors import ContractError
+from nwlearn.errors import ContractError, DomainError, ShapeError
 from nwlearn.featnet import FeatureNet
 from nwlearn.nwhead import cross_entropy, nw_predict, onehot, similarity
 from nwlearn.support import SupportBatch
-from nwlearn.tensor import Tensor
+from nwlearn.tensor import (
+    Tape,
+    Tensor,
+    add,
+    backward,
+    log,
+    matmul,
+    mul,
+    scale,
+    softmax_rows,
+    sqdist,
+    sum_all,
+    take_rows,
+)
 
 
 def _support(feats, labels, n_classes=2):
@@ -144,3 +157,74 @@ def test_nw_cross_entropy_gradients_match_finite_differences():
         return cross_entropy(nw_predict(net.extract(qx), sup), q_labels)
 
     assert grad_check(f, net.parameters(), eps=1e-5) < 1e-4
+
+
+def _composite_nw_predict(q, s, labels):
+    return matmul(softmax_rows(similarity(q, s)), Tensor(labels))
+
+
+def _composite_cross_entropy(probs, labels):
+    n, c = labels.shape
+    true_probs = matmul(mul(probs, Tensor(labels)), Tensor(np.ones((c, 1))))
+    return scale(sum_all(log(add(true_probs, 1e-15))), -1.0 / n)
+
+
+def _values_and_grads(q, s, labels, q_labels, predict, ce, upstream):
+    """(predictions, CE, d(CE)/d(q, s), d(<predictions, upstream>)/d(q, s))."""
+    out = []
+    for head in (lambda p: ce(p, q_labels), lambda p: sum_all(mul(p, Tensor(upstream)))):
+        qt, st = Tensor(q), Tensor(s)
+        tape = Tape()
+        tape.watch(qt, st)
+        probs = predict(qt, st, labels)
+        loss = head(probs)
+        grads = backward(tape, loss)
+        out.append((probs.data, loss.item(), grads[qt].data, grads[st].data))
+    (probs, ce_value, ce_gq, ce_gs), (_, _, up_gq, up_gs) = out
+    return probs, ce_value, ce_gq, ce_gs, up_gq, up_gs
+
+
+def _fused(q, s, labels):
+    return nw_predict(q, SupportBatch(features=s, onehot_labels=labels))
+
+
+@pytest.mark.parametrize("case", ["random", "query_on_support_row", "one_row_support", "one_query"])
+def test_fused_nw_predict_and_cross_entropy_match_the_composite_chain(case):
+    gen = np.random.default_rng(40)
+    for _ in range(10):
+        nq = 1 if case == "one_query" else int(gen.integers(1, 9))
+        m = 1 if case == "one_row_support" else int(gen.integers(1, 20))
+        dim, c = int(gen.integers(1, 6)), int(gen.integers(2, 5))
+        q, s = gen.normal(size=(nq, dim)), gen.normal(size=(m, dim))
+        if case == "query_on_support_row":
+            # quarter-integer features keep the expansion exact, so D = 0
+            q, s = np.round(4 * q) / 4, np.round(4 * s) / 4
+            q[0] = s[-1]
+            assert sqdist(q[:1], s[-1:])[0, 0] == 0.0
+        labels = onehot(gen.integers(0, c, size=m), c)
+        q_labels = onehot(gen.integers(0, c, size=nq), c)
+        upstream = gen.normal(size=(nq, c))
+        fused = _values_and_grads(q, s, labels, q_labels, _fused, cross_entropy, upstream)
+        composite = _values_and_grads(q, s, labels, q_labels, _composite_nw_predict,
+                                      _composite_cross_entropy, upstream)
+        for got, want in zip(fused, composite):
+            assert np.abs(np.asarray(got) - np.asarray(want)).max() <= 1e-12
+
+
+def test_fused_cross_entropy_keeps_the_domain_check():
+    with pytest.raises(DomainError):
+        cross_entropy(Tensor([[-1.0, 2.0]]), onehot([0], 2))
+
+
+def test_take_rows_gradient_scatters_into_zeros():
+    gen = np.random.default_rng(41)
+    x = Tensor(gen.normal(size=(6, 3)))
+    upstream = gen.normal(size=(3, 3))
+    tape = Tape()
+    tape.watch(x)
+    loss = sum_all(mul(take_rows(x, 2, 5), Tensor(upstream)))
+    grad = backward(tape, loss)[x].data
+    assert np.array_equal(grad[2:5], upstream)
+    assert not grad[:2].any() and not grad[5:].any()
+    with pytest.raises(ShapeError):
+        take_rows(x, 4, 7)

@@ -1,0 +1,92 @@
+import numpy as np
+import pytest
+
+from nwlearn import Rng
+from nwlearn.errors import ContractError
+from nwlearn.featnet import FeatureNet, LinearHead
+from nwlearn.optim import Adam
+from nwlearn.tensor import Tensor
+
+
+class ReferenceAdam:
+    """Adam with one moment array per parameter, keyed by position."""
+
+    def __init__(self, lr, weight_decay, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr, self.weight_decay = lr, weight_decay
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.m, self.v, self.t = None, None, 0
+
+    def step(self, arrays, grads):
+        if self.m is None:
+            self.m = [np.zeros_like(a) for a in arrays]
+            self.v = [np.zeros_like(a) for a in arrays]
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        out = []
+        for a, g, m, v in zip(arrays, grads, self.m, self.v):
+            m[:] = b1 * m + (1.0 - b1) * g
+            v[:] = b2 * v + (1.0 - b2) * (g * g)
+            m_hat = m / (1.0 - b1 ** self.t)
+            v_hat = v / (1.0 - b2 ** self.t)
+            out.append(a - self.lr * m_hat / (np.sqrt(v_hat) + self.eps) - self.lr * self.weight_decay * a)
+        return out
+
+
+def _net_and_head():
+    net = FeatureNet((5, 7, 3), Rng(60))
+    head = LinearHead(3, 4)
+    head.bias.data = np.linspace(-1.0, 1.0, 4)
+    return net, head
+
+
+def _random_grads(gen, params):
+    return {p: Tensor(gen.normal(size=p.shape) * gen.uniform(1e-3, 10.0)) for p in params}
+
+
+def test_flat_adam_matches_per_array_reference():
+    net, head = _net_and_head()
+    params = net.parameters() + head.parameters()
+    reference = [p.data.copy() for p in params]
+    opt, ref_opt = Adam(lr=1e-2, weight_decay=0.05), ReferenceAdam(lr=1e-2, weight_decay=0.05)
+    gen = np.random.default_rng(61)
+    for _ in range(100):
+        grads = _random_grads(gen, params)
+        opt.step(params, grads)
+        reference = ref_opt.step(reference, [grads[p].data for p in params])
+        for p, want in zip(params, reference):
+            assert p.shape == want.shape
+            assert np.abs(p.data - want).max() <= 1e-15
+
+
+def test_flat_adam_continues_from_loaded_state_arrays():
+    net, head = _net_and_head()
+    params = net.parameters() + head.parameters()
+    opt, ref_opt = Adam(lr=1e-2, weight_decay=0.05), ReferenceAdam(lr=1e-2, weight_decay=0.05)
+    gen = np.random.default_rng(62)
+    reference = [p.data.copy() for p in params]
+    for _ in range(5):
+        grads = _random_grads(gen, params)
+        opt.step(params, grads)
+        reference = ref_opt.step(reference, [grads[p].data for p in params])
+    # rebind every parameter to new arrays, as checkpoint selection does
+    weights, biases = net.state_arrays()
+    net.load_state_arrays([w + 0.5 for w in weights], [b - 0.25 for b in biases])
+    head.load_state_arrays(*head.state_arrays())
+    reference = [p.data.copy() for p in params]
+    for _ in range(5):
+        grads = _random_grads(gen, params)
+        opt.step(params, grads)
+        reference = ref_opt.step(reference, [grads[p].data for p in params])
+    for p, want in zip(params, reference):
+        assert np.abs(p.data - want).max() <= 1e-15
+
+
+def test_flat_adam_rejects_a_changed_parameter_layout():
+    net, head = _net_and_head()
+    opt = Adam(lr=1e-2)
+    gen = np.random.default_rng(63)
+    params = net.parameters()
+    opt.step(params, _random_grads(gen, params))
+    for changed in (head.parameters(), params[:-1], params[::-1]):
+        with pytest.raises(ContractError):
+            opt.step(changed, _random_grads(gen, changed))

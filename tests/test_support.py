@@ -211,3 +211,31 @@ def test_sampler_contracts_property_sweep():
         assert query_labels <= set(batch.labels.tolist())
         if env is not None:
             assert (batch.source_envs == env).all()
+
+
+def _setdiff_unbalanced_draw(ds, spec, rng):
+    """The unbalanced branch of sample_support written with np.setdiff1d."""
+    total = spec.n_per_class * ds.n_classes
+    cover = [int(rng.choice(ds.by_class[c] if spec.env is None else ds.by_env_class[(spec.env, c)]))
+             for c in range(ds.n_classes)]
+    pool = ds.by_env[spec.env] if spec.env is not None else np.arange(len(ds))
+    remaining = np.setdiff1d(pool, np.array(cover, dtype=np.int64))
+    fill_n = total - len(cover)
+    if fill_n <= len(remaining):
+        fill = rng.choice(remaining, size=fill_n, replace=False)
+    else:
+        fill = rng.choice(pool, size=fill_n, replace=True)
+    return np.concatenate([np.array(cover, dtype=np.int64), fill.astype(np.int64)])
+
+
+@pytest.mark.parametrize("env, n, n_per_class", [(None, 200, 8), (1, 200, 8), (0, 12, 8)])
+def test_unbalanced_draw_matches_setdiff_form(env, n, n_per_class):
+    # the last case has fewer env-0 rows than the support size: the fill
+    # falls back to drawing with replacement
+    ds = make_dataset(np.random.default_rng(30), n=n)
+    spec = SupportSpec(balanced=False, env=env, n_per_class=n_per_class)
+    if env is not None:
+        assert (len(ds.by_env[env]) < n_per_class * ds.n_classes) == (n < 100)
+    for seed in range(20):
+        batch = sample_support(ds, spec, {0, 1, 2}, Rng(seed))
+        assert np.array_equal(batch.source_indices, _setdiff_unbalanced_draw(ds, spec, Rng(seed)))

@@ -293,3 +293,45 @@ def test_every_validation_check_is_one_trainer_predict_call(variant, monkeypatch
     checks = len(ds) // cfg.n_q // cfg.eval_every + cfg.max_epochs
     expected = ("knn", len(ds)) if variant == "nw_unbalanced" else ("full", None)
     assert modes == [expected] * checks
+
+
+@pytest.mark.parametrize("variant, max_nodes", [("nw_implicit", 12), ("nw_explicit", 21),
+                                                ("nw_balanced", 12), ("nw_unbalanced", 12)])
+def test_a_step_is_one_forward_on_a_short_tape(variant, max_nodes, monkeypatch):
+    import nwlearn.trainer as trainer_module
+
+    ds = toy_dataset(n=120, seed=56)
+    val = Dataset([LabeledExample(x=ex.x, y=ex.y, e=5) for ex in toy_dataset(seed=57).examples], 2)
+    cfg = TrainConfig(variant=variant, max_epochs=2, seed=58, eval_every=4,
+                      hidden_dims=(8,), feature_dim=4)
+    extracts, nodes = [0], []
+    in_validation = False
+    original_extract, original_evaluate = FeatureNet.extract, trainer_module._evaluate
+    original_backward = trainer_module.backward
+
+    def counting_extract(self, inputs):
+        if not in_validation:
+            extracts[-1] += 1
+        return original_extract(self, inputs)
+
+    def evaluate(*args, **kwargs):
+        nonlocal in_validation
+        in_validation = True
+        try:
+            return original_evaluate(*args, **kwargs)
+        finally:
+            in_validation = False
+
+    def counting_backward(tape, loss):
+        nodes.append(len(tape._nodes))
+        extracts.append(0)
+        return original_backward(tape, loss)
+
+    monkeypatch.setattr(FeatureNet, "extract", counting_extract)
+    monkeypatch.setattr(trainer_module, "_evaluate", evaluate)
+    monkeypatch.setattr(trainer_module, "backward", counting_backward)
+    train(ds, val, cfg)
+    steps = cfg.max_epochs * (len(ds) // cfg.n_q)
+    # extracts[i] counts the forwards since the sweep before the i-th one
+    assert extracts == [1] * steps + [0]
+    assert len(nodes) == steps and max(nodes) <= max_nodes
