@@ -6,11 +6,12 @@ level, and layer l holds the nodes whose level is at least l, so the base
 layer holds every node. The build links one layer at a time from exact
 candidate lists: each member's ef_construction nearest other members come
 from row blocks of one distance matrix; the diversifying heuristic picks m
-forward links among them; each member's list is then the heuristic's pick
-of the layer cap (2m on the base layer, m above) among its forward links
-and the reverse links onto it. Ties in distance break by the rotated id
-(id - v - 1) mod n of the node v being linked, so exact duplicates link to
-each other around a ring instead of all to the lowest ids.
+forward links among them, then the layer cap (2m on the base layer, m
+above) among each member's forward and reverse links. The heuristic runs in
+lockstep over a block of nodes, one stacked matvec per kept slot, with the
+block's working set under _BLOCK_ELEMS floats. Ties in distance break by
+the rotated id (id - v - 1) mod n of the node v being linked, so exact
+duplicates link to each other around a ring instead of all to the lowest ids.
 
 A query computes one squared-distance row to every node, then walks the
 layers' plain neighbour lists over it: a greedy descent through the upper
@@ -28,7 +29,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, DomainError
 from .rng import Rng
-from .tensor import smallest_k, sqdist
+from .tensor import sqdist
 
 DEFAULT_M = 16
 DEFAULT_EF_CONSTRUCTION = 200
@@ -89,53 +90,67 @@ class HnswIndex:
             d2 = sqdist(feats[start:start + rows], feats)
             block = np.arange(len(d2))
             d2[block, start + block] = np.inf  # a node is not its own candidate
-            pos = smallest_k(d2, k)
+            pos = np.argpartition(d2, k - 1, axis=1)[:, :k]  # the heuristic sorts them
             # a row whose k-th candidate ties a value beyond it takes the tied
             # ones in rotated order, starting just after the row's own node
             kth = np.take_along_axis(d2, pos[:, -1:], axis=1)
             for r in np.flatnonzero(np.count_nonzero(d2 <= kth, axis=1) > k).tolist():
                 shift = start + r + 1
                 pos[r] = (np.argsort(np.roll(d2[r], -shift), kind="stable")[:k] + shift) % len(members)
-            for v, ids in zip(members[start:start + rows].tolist(), members[pos]):
-                kept = self._select_heuristic(v, ids, self.m)
-                src.append(np.full(len(kept), v))
-                dst.append(kept)
+            v = members[start:start + rows]
+            kept = members[pos] if k <= self.m else self._select_heuristic(v, members[pos], self.m)
+            src.append(np.broadcast_to(v[:, None], kept.shape)[kept >= 0])
+            dst.append(kept[kept >= 0])
         src, dst = np.concatenate(src), np.concatenate(dst)
         # each link, listed once at each of its ends, sorted by (node, other)
         pairs = np.unique(np.concatenate([src * n + dst, dst * n + src]))
         node, other = pairs // n, pairs % n
-        bounds = np.searchsorted(node, members).tolist() + [len(node)]
-        for i, v in enumerate(members.tolist()):
-            adj[v] = self._select_heuristic(v, other[bounds[i]:bounds[i + 1]], cap).tolist()
+        bounds = np.searchsorted(node, members)
+        degree = np.diff(np.append(bounds, len(node)))
+        for v, ids in zip(members.tolist(), np.split(other, bounds[1:])):
+            adj[v] = ids.tolist()
+        for d in np.unique(degree[degree > cap]).tolist():  # over-full lists, by length
+            at = np.flatnonzero(degree == d)
+            kept = self._select_heuristic(members[at], other[bounds[at, None] + np.arange(d)], cap)
+            for v, ids in zip(members[at].tolist(), kept.tolist()):
+                adj[v] = [j for j in ids if j >= 0]
         return adj
 
-    def _select_heuristic(self, v: int, ids: np.ndarray, cap: int) -> np.ndarray:
-        """Diversifying pick of at most cap of the candidate ids for node v:
-        in order of (distance to v, rotated id), keep a candidate only if it
-        is no farther from v than from every already-kept one. Both sides of
-        that test use one formula, so exact duplicates tie and are kept."""
-        if len(ids) <= cap:
-            return ids
-        f = self.features[ids]
-        norms = self._norms[ids]
-
-        def dist_to(x, xx):
-            return norms - 2.0 * (f @ x) + xx
-
-        d_to_v = dist_to(self.features[v], self._norms[v])
-        order = np.lexsort(((ids - v - 1) % len(self.features), d_to_v))
-        f, norms, ids, d_to_v = f[order], norms[order], ids[order], d_to_v[order]
-        # min distance from each candidate to the kept set
-        min_to_kept = np.full(len(ids), np.inf)
-        kept = [0]
-        while len(kept) < cap:
-            a = kept[-1]
-            np.minimum(min_to_kept, dist_to(f[a], norms[a]), out=min_to_kept)
-            ok = min_to_kept[a + 1:] >= d_to_v[a + 1:]
-            if not ok.any():
-                break
-            kept.append(a + 1 + int(ok.argmax()))
-        return ids[kept]
+    def _select_heuristic(self, v: np.ndarray, ids: np.ndarray, cap: int) -> np.ndarray:
+        """Diversifying pick of at most cap of each row's candidate ids (more
+        than cap) for the row's node v, in lockstep over the rows: in order of
+        (distance to v, rotated id), keep a candidate only if it is no farther
+        from v than from every already-kept one. Both sides of that test use
+        one formula, so exact duplicates tie and are kept. Returns the picks
+        padded by -1."""
+        n, (rows, width), d = len(self.features), ids.shape, self.features.shape[1]
+        out, pos = np.full((rows, cap), -1), np.arange(width)
+        # a block's features, their compacted copy and its (block, width) arrays fit the bound
+        step = max(1, _BLOCK_ELEMS // (width * (2 * d + 8)))
+        for start in range(0, rows, step):
+            vs, c = v[start:start + step], ids[start:start + step]
+            d_to_v = self._norms[c] - 2.0 * np.matmul(self.features[c], self.features[vs, :, None])[..., 0]
+            d_to_v += self._norms[vs, None]
+            order = np.argsort(d_to_v, axis=1)  # rows with a tie sort by (distance, rotated id)
+            tied = np.flatnonzero((np.diff(np.sort(d_to_v, axis=1), axis=1) == 0).any(axis=1))
+            order[tied] = np.lexsort(((c[tied] - vs[tied, None] - 1) % n, d_to_v[tied]))
+            c, d_to_v = np.take_along_axis(c, order, 1), np.take_along_axis(d_to_v, order, 1)
+            f, norms = self.features[c], self._norms[c]
+            min_to_kept = np.full(c.shape, np.inf)  # from each candidate to its row's kept set
+            live = np.arange(len(c))  # rows still picking, as rows of out
+            a = np.zeros(len(c), dtype=np.int64)  # each live row's last pick
+            out[start:start + step, 0] = c[:, 0]
+            for t in range(1, cap):
+                r = np.arange(len(live))
+                dist = norms - 2.0 * np.matmul(f, f[r, a, :, None])[..., 0] + norms[r, a, None]
+                np.minimum(min_to_kept, dist, out=min_to_kept)
+                ok = (min_to_kept >= d_to_v) & (pos > a[:, None])
+                more, a = ok.any(axis=1), ok.argmax(axis=1)
+                if not more.all():  # drop the rows with no candidate left
+                    live, c, d_to_v, f, norms, min_to_kept, a = (
+                        arr[more] for arr in (live, c, d_to_v, f, norms, min_to_kept, a))
+                out[start + live, t] = c[np.arange(len(live)), a]
+        return out
 
     # -- queries -------------------------------------------------------------
 

@@ -9,6 +9,7 @@ and the support labels must cover the query labels.
 
 from __future__ import annotations
 
+import copy
 import logging
 from dataclasses import dataclass, field
 
@@ -66,6 +67,13 @@ class SupportBatch:
 
     def __len__(self) -> int:
         return self.onehot_labels.shape[0]
+
+    def with_features(self, features) -> SupportBatch:
+        """This batch with ``features`` re-bound, without re-checking the
+        labels that construction already checked."""
+        batch = copy.copy(self)
+        batch.features = features
+        return batch
 
     @property
     def labels(self) -> np.ndarray:

@@ -16,7 +16,7 @@ net over the query rows and every support's rows together, one taped
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -113,7 +113,7 @@ def _embed(net: FeatureNet, query_x, *supports) -> tuple[Tensor, list]:
     q_feats, embedded = take_rows(feats, 0, stop), []
     for s in supports:
         start, stop = stop, stop + len(s)
-        embedded.append(replace(s, features=take_rows(feats, start, stop)))
+        embedded.append(s.with_features(take_rows(feats, start, stop)))
     return q_feats, embedded
 
 

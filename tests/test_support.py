@@ -3,8 +3,9 @@ import pytest
 
 from nwlearn import Rng
 from nwlearn.data import Dataset, LabeledExample
-from nwlearn.errors import ConfigError, CoverageError
+from nwlearn.errors import ConfigError, ContractError, CoverageError
 from nwlearn.support import (
+    SupportBatch,
     SupportSpec,
     sample_balanced_query_batch,
     sample_env_pair,
@@ -97,6 +98,19 @@ def test_balanced_support_label_distribution_is_uniform():
     batch = sample_support(ds, SupportSpec(balanced=True, n_per_class=50), {0}, Rng(9))
     counts = np.bincount(batch.labels, minlength=3)
     assert counts.tolist() == [50, 50, 50]
+
+
+def test_batches_built_from_outside_are_validated_and_rebinding_keeps_the_rest():
+    with pytest.raises(ContractError):
+        SupportBatch(features=np.zeros((2, 3)), onehot_labels=np.array([[1.0, 1.0], [0.0, 1.0]]))
+    with pytest.raises(ContractError):
+        SupportBatch(features=np.zeros((2, 3)), onehot_labels=np.eye(2), source_envs=np.zeros(3))
+    sup = sample_support(make_dataset(np.random.default_rng(15)), SupportSpec(n_per_class=2), [0], Rng(16))
+    feats = np.ones((len(sup), 5))
+    bound = sup.with_features(feats)
+    assert bound.features is feats and sup.features is not feats
+    for name in ("onehot_labels", "source_envs", "source_indices"):
+        assert getattr(bound, name) is getattr(sup, name)
 
 
 def test_env_pair_distinct_envs():
