@@ -1,17 +1,17 @@
 """Feature extractor: a small MLP mapping input vectors to feature vectors.
 
-Relu on every layer but the last. Gradients flow whenever the net's
-parameters are watched on a live tape; otherwise extraction is a pure
-numpy evaluation.
+Relu on every layer but the last. The whole net is one taped node whenever
+the input or a parameter sits on a live tape; otherwise extraction is a
+pure numpy evaluation that keeps no intermediate.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, DomainError, ShapeError
 from .rng import Rng
-from .tensor import Tensor, add, matmul, relu, softmax_rows
+from .tensor import Tensor, _live_tape, _result, add, matmul, softmax_rows
 
 DEFAULT_HIDDEN_DIMS = (64, 64)
 DEFAULT_FEATURE_DIM = 16
@@ -42,9 +42,9 @@ class FeatureNet:
         net.layer_dims = [int(d) for d in layer_dims]
         net.weights = [Tensor(np.asarray(w, dtype=np.float64)) for w in weights]
         net.biases = [Tensor(np.asarray(b, dtype=np.float64)) for b in biases]
-        for w, (din, dout) in zip(net.weights, zip(net.layer_dims[:-1], net.layer_dims[1:])):
-            if w.shape != (din, dout):
-                raise ConfigError(f"weight shape {w.shape} does not match dims ({din}, {dout})")
+        for w, b, din, dout in zip(net.weights, net.biases, net.layer_dims[:-1], net.layer_dims[1:]):
+            if w.shape != (din, dout) or b.shape != (dout,):
+                raise ConfigError(f"weight {w.shape} and bias {b.shape} do not match dims ({din}, {dout})")
         return net
 
     @property
@@ -74,19 +74,40 @@ class FeatureNet:
     def extract(self, inputs) -> Tensor:
         """Apply the net row-wise to an (n, input_dim) matrix.
 
-        The result lands on a tape exactly when the parameters are watched,
-        so the caller controls gradient tracking.
+        Each layer is ``h @ W + b``, then a relu but for the last; a
+        non-finite pre-activation raises DomainError. The result is one
+        taped node exactly when the input or a parameter is on a live tape.
+        The node keeps the post-relu activations, and its VJP runs the
+        matmul/add/relu chain in reverse, bit for bit. Untaped, the layers
+        run in place and keep nothing.
         """
         x = inputs if isinstance(inputs, Tensor) else Tensor(np.atleast_2d(inputs))
         if x.data.ndim != 2 or x.shape[1] != self.input_dim:
             raise ShapeError(f"extract: inputs {x.shape} do not match input_dim {self.input_dim}")
-        h = x
-        last = len(self.weights) - 1
+        params = self.parameters()
+        taped, x_taped = _live_tape(x, *params) is not None, _live_tape(x) is not None
+        acts, h, last = [x.data], x.data, len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = add(matmul(h, w), b)
+            h = h @ w.data
+            h += b.data
             if i != last:
-                h = relu(h)
-        return h
+                if not np.isfinite(h).all():
+                    raise DomainError(f"extract: non-finite pre-activation in layer {i}")
+                np.maximum(h, 0.0, out=h)
+                if taped:
+                    acts.append(h)
+
+        def vjp(g):
+            grads = []
+            for i in range(last, -1, -1):
+                if i != last:
+                    g = g * (acts[i + 1] > 0.0)
+                grads += [g.sum(axis=0), acts[i].T @ g]
+                if i or x_taped:
+                    g = g @ self.weights[i].data.T
+            return ([g] if x_taped else []) + grads[::-1]
+
+        return _result(h, (x, *params) if x_taped else tuple(params), vjp)
 
     def __call__(self, inputs) -> Tensor:
         return self.extract(inputs)

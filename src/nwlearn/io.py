@@ -11,42 +11,57 @@ from __future__ import annotations
 
 import json
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, LabeledExample
-from .errors import FormatError, ParseError
+from .data import Dataset
+from .errors import ContractError, FormatError, ParseError
 from .featnet import FeatureNet, LinearHead
 
 CHECKPOINT_MAGIC = b"NWCK"
 CHECKPOINT_VERSION = 1
 
 
+def _csv_header(d: int) -> str:
+    return ",".join([f"x_{i}" for i in range(d)] + ["y", "e"])
+
+
 def save_csv(ds: Dataset, path):
-    d = ds.input_dim
-    header = ",".join([f"x_{i}" for i in range(d)] + ["y", "e"])
-    lines = [header]
-    for ex in ds.examples:
-        fields = [repr(float(v)) for v in ex.x] + [str(int(ex.y)), str(int(ex.e))]
-        lines.append(",".join(fields))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    columns = zip(ds.X.tolist(), ds.y.tolist(), ds.e.tolist())
+    rows = (",".join(map(repr, x)) + f",{y},{e}" for x, y, e in columns)
+    Path(path).write_text("\n".join([_csv_header(ds.input_dim), *rows]) + "\n", encoding="utf-8")
 
 
 def load_csv(path) -> Dataset:
-    """Parse a dataset CSV; errors carry the 1-based offending line."""
-    text = Path(path).read_text(encoding="utf-8")
-    lines = [ln for ln in text.splitlines()]
+    """Parse a dataset CSV; errors carry the 1-based offending line.
+
+    One ``np.loadtxt`` pass parses the body, the label columns as integers.
+    Only a file that pass refuses is scanned line by line (``_scan_csv``).
+    """
+    try:
+        with open(path, encoding="utf-8") as f, warnings.catch_warnings():
+            warnings.simplefilter("error")  # an empty body only warns
+            header = f.readline()
+            d = header.count(",") - 1
+            if d < 1 or header.rstrip("\n") != _csv_header(d):
+                raise ValueError(f"unexpected header {header!r}")
+            rows = np.loadtxt(f, delimiter=",", comments=None, ndmin=1,
+                              dtype=[("x", "f8", (d,)), ("y", "i8"), ("e", "i8")])
+        return Dataset.from_arrays(rows["x"], rows["y"], rows["e"])
+    except (ValueError, Warning, ContractError):
+        return _scan_csv(path)
+
+
+def _scan_csv(path) -> Dataset:
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines:
         raise ParseError("empty file", line=1)
-    header = lines[0].split(",")
-    if len(header) < 3 or header[-2:] != ["y", "e"]:
+    d = lines[0].count(",") - 1
+    if d < 1 or lines[0] != _csv_header(d):
         raise ParseError(f"header must be x_0,...,x_d-1,y,e; got {lines[0]!r}", line=1)
-    d = len(header) - 2
-    expected = [f"x_{i}" for i in range(d)]
-    if header[:-2] != expected:
-        raise ParseError(f"feature columns must be {expected}", line=1)
-    examples = []
+    rows = []
     for lineno, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
             continue
@@ -54,17 +69,16 @@ def load_csv(path) -> Dataset:
         if len(fields) != d + 2:
             raise ParseError(f"expected {d + 2} fields, got {len(fields)}", line=lineno)
         try:
-            x = np.array([float(v) for v in fields[:d]])
-            y = int(fields[d])
-            e = int(fields[d + 1])
+            x, y, e = [float(v) for v in fields[:d]], int(fields[d]), int(fields[d + 1])
         except ValueError as exc:
             raise ParseError(f"unparseable value: {exc}", line=lineno) from None
         if y < 0 or e < 0:
             raise ParseError(f"y and e must be non-negative, got y={y}, e={e}", line=lineno)
-        examples.append(LabeledExample(x=x, y=y, e=e))
-    if not examples:
+        rows.append((x, y, e))
+    if not rows:
         raise ParseError("no data rows", line=max(len(lines), 1))
-    return Dataset(examples)
+    xs, ys, es = zip(*rows)
+    return Dataset.from_arrays(np.array(xs, dtype=np.float64), ys, es)
 
 
 def _write_array(out: bytearray, arr: np.ndarray):

@@ -2,7 +2,7 @@
 
 Weight decay is applied as p <- p - lr * wd * p on top of the gradient
 update, for both optimizers. The optimizer is the single writer of
-parameter data.
+parameter data; Adam writes it in place.
 """
 
 from __future__ import annotations
@@ -27,14 +27,14 @@ class Sgd:
 
 
 class Adam:
-    """Adam over one flat moment vector per moment.
+    """Adam over one flat vector of parameter values.
 
     The first step fixes the parameter layout (the shape of each parameter
-    in order) and sizes the flat state to it; a later step with another
-    layout raises ContractError. Each step gathers the gradients into one
-    flat vector, updates the moments with in-place ufuncs, and rebinds each
-    parameter's data to its slice of a fresh flat array, so parameters
-    whose data was rebound in between (``load_state_arrays``) carry on.
+    in order), gathers the values into one flat vector and rebinds each
+    parameter's data to its view of it; later steps update the values and
+    the flat moments in place. A step whose parameters are not all those
+    views (``load_state_arrays`` rebinds them) gathers again; a step with
+    another layout raises ContractError.
     """
 
     def __init__(self, lr: float, weight_decay: float = 0.0,
@@ -46,21 +46,31 @@ class Adam:
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self._layout: list[tuple[int, ...]] | None = None
-        self._m = self._v = self._buf = None
+        self._m = self._v = self._buf = self._flat = None
+        self._views: list[np.ndarray] = []
         self._t = 0
 
-    def step(self, params: list[Tensor], grads: dict[Tensor, Tensor]):
-        layout = [p.data.shape for p in params]
-        if self._layout is None:
-            self._layout = layout
+    def _gather(self, params: list[Tensor]):
+        layout, sized = [p.data.shape for p in params], [w.shape for w in self._views]
+        if self._m is None:
             n = sum(p.data.size for p in params)
             self._m, self._v, self._buf = np.zeros(n), np.zeros(n), np.empty(n)
-        elif layout != self._layout:
-            raise ContractError(f"Adam was sized for parameters {self._layout}, got {layout}")
+        elif layout != sized:
+            raise ContractError(f"Adam was sized for parameters {sized}, got {layout}")
+        self._flat = np.concatenate([p.data.ravel() for p in params])
+        self._views, start = [], 0
+        for p in params:
+            stop = start + p.data.size
+            p.data = self._flat[start:stop].reshape(p.data.shape)
+            self._views.append(p.data)
+            start = stop
+
+    def step(self, params: list[Tensor], grads: dict[Tensor, Tensor]):
+        if len(params) != len(self._views) or any(p.data is not w for p, w in zip(params, self._views)):
+            self._gather(params)
         self._t += 1
         b1, b2 = self.beta1, self.beta2
-        m, v, u = self._m, self._v, self._buf
+        m, v, u, flat = self._m, self._v, self._buf, self._flat
         g = np.concatenate([grads[p].data.ravel() for p in params])
         # m = b1 m + (1 - b1) g and v = b2 v + (1 - b2) g^2, in place
         m *= b1
@@ -70,21 +80,20 @@ class Adam:
         np.multiply(g, g, out=g)
         g *= 1.0 - b2
         v += g
-        # g becomes the step lr * m_hat / (sqrt(v_hat) + eps), then the new values
+        # g becomes the step lr * m_hat / (sqrt(v_hat) + eps)
         np.divide(v, 1.0 - b2 ** self._t, out=g)
         np.sqrt(g, out=g)
         g += self.eps
         np.divide(m, 1.0 - b1 ** self._t, out=u)
         u *= self.lr
         np.divide(u, g, out=g)
-        flat = np.concatenate([p.data.ravel() for p in params])
-        np.subtract(flat, g, out=g)
-        g -= self.lr * self.weight_decay * flat
-        start = 0
-        for p in params:
-            stop = start + p.data.size
-            p.data = g[start:stop].reshape(p.data.shape)
-            start = stop
+        # values - step - lr * wd * values, the decay taken on the values before the step
+        if self.weight_decay:
+            np.multiply(flat, self.lr * self.weight_decay, out=u)
+            flat -= g
+            flat -= u
+        else:
+            flat -= g
 
 
 def make_optimizer(kind: str, lr: float, weight_decay: float = 0.0):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, LabeledExample
+from .data import Dataset
 from .errors import ConfigError, ContractError
 from .rng import Rng
 
@@ -85,7 +85,7 @@ def random_mix_matrix(d_latent: int, d_x: int, rng: Rng) -> np.ndarray:
 def sample_dataset(cfg: ScmConfig, n: int, envs, rng: Rng) -> Dataset:
     """Draw n examples restricted to ``envs``: environment first, then the
     class from the environment's prior, then Gaussian latents, then the
-    linear mix. Latents ride along on each example for diagnostics."""
+    linear mix. The latents ride along as columns for diagnostics."""
     envs = [int(e) for e in envs]
     if not envs or any(e < 0 or e >= cfg.n_envs for e in envs):
         raise ConfigError(f"envs must be a non-empty subset of 0..{cfg.n_envs - 1}")
@@ -108,11 +108,7 @@ def sample_dataset(cfg: ScmConfig, n: int, envs, rng: Rng) -> Dataset:
     z_s = cfg.style_means[y, e] + cfg.noise_std * rng.standard_normal((n, cfg.d_style))
     x = np.hstack([z_c, z_s]) @ cfg.mix_matrix
 
-    examples = [
-        LabeledExample(x=x[i], y=int(y[i]), e=int(e[i]), latent_zc=z_c[i], latent_zs=z_s[i])
-        for i in range(n)
-    ]
-    return Dataset(examples, n_classes=cfg.n_classes)
+    return Dataset.from_arrays(x, y, e, n_classes=cfg.n_classes, latents=(z_c, z_s))
 
 
 # -- fixed benchmark recipes ---------------------------------------------
@@ -243,11 +239,9 @@ def prevalence_filter(ds: Dataset, class_id: int, target_prevalence: float, rng:
 def _latents(ds: Dataset, which: str) -> np.ndarray:
     if which not in ("content", "style"):
         raise ConfigError(f"which must be 'content' or 'style', got {which!r}")
-    attr = "latent_zc" if which == "content" else "latent_zs"
-    rows = [getattr(ex, attr) for ex in ds.examples]
-    if any(r is None for r in rows):
+    if ds.latents is None:
         raise ContractError("dataset examples carry no latents (not SCM-generated?)")
-    return np.stack(rows)
+    return ds.latents[0 if which == "content" else 1]
 
 
 def latent_oracle_accuracy(fit_ds: Dataset, eval_ds: Dataset, which: str) -> float:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, LabeledExample
+from .data import Dataset
 from .errors import ConfigError, ContractError, CoverageError
 from .nwhead import onehot
 from .rng import Rng
@@ -186,19 +186,19 @@ def sample_env_pair(
     return first, second
 
 
-def sample_query_batch(ds: Dataset, n_q: int, rng: Rng) -> list[LabeledExample]:
-    """Uniform draw without replacement; one support is later sampled per
-    mini-batch, not per query."""
+def sample_query_batch(ds: Dataset, n_q: int, rng: Rng) -> np.ndarray:
+    """Row indices (int64) of a uniform draw without replacement; one
+    support is later sampled per mini-batch, not per query."""
     if n_q < 1:
         raise ConfigError(f"n_q must be >= 1, got {n_q}")
     if n_q > len(ds):
         raise ConfigError(f"n_q={n_q} exceeds dataset size {len(ds)}")
-    idx = rng.choice(len(ds), size=n_q, replace=False)
-    return [ds.examples[i] for i in idx]
+    return rng.choice(len(ds), size=n_q, replace=False).astype(np.int64, copy=False)
 
 
-def sample_balanced_query_batch(ds: Dataset, n_q: int, rng: Rng) -> list[LabeledExample]:
-    """Class-and-environment balanced query draw (the balanced-ERM batch).
+def sample_balanced_query_batch(ds: Dataset, n_q: int, rng: Rng) -> np.ndarray:
+    """Row indices (int64) of a class-and-environment balanced query draw
+    (the balanced-ERM batch).
 
     Cycles (env, class) cells with class varying fastest, drawing one
     example per visit without replacement inside a cell, so per-batch class
@@ -216,12 +216,6 @@ def sample_balanced_query_batch(ds: Dataset, n_q: int, rng: Rng) -> list[Labeled
             cells.append(rng.permutation(bucket))
     if not cells:
         raise ConfigError("no non-empty (env, class) cells to draw from")
-    picked = []
-    offsets = [0] * len(cells)
-    cell_i = 0
-    while len(picked) < n_q:
-        bucket = cells[cell_i]
-        picked.append(int(bucket[offsets[cell_i] % len(bucket)]))
-        offsets[cell_i] += 1
-        cell_i = (cell_i + 1) % len(cells)
-    return [ds.examples[i] for i in picked]
+    # the k-th pick visits cell k % len(cells) for the (k // len(cells))-th time
+    n = len(cells)
+    return np.array([cells[k % n][(k // n) % len(cells[k % n])] for k in range(n_q)], dtype=np.int64)

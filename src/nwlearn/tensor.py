@@ -1,6 +1,7 @@
 """Dense float64 tensors with taped reverse-mode gradients.
 
-Tensors are immutable values wrapping numpy arrays. Gradients are recorded
+Tensors are values wrapping numpy arrays; only an optimizer step writes a
+parameter's data in place. Gradients are recorded
 on an explicit :class:`Tape`: watch the parameters, run the forward pass,
 then call :func:`backward` once. Ops record a node only when an input sits
 on a live tape, so the identical code path serves training and inference.

@@ -8,9 +8,11 @@ balancing without environment conditioning (``nw_balanced``), neither
 ``erm_balanced``. Model selection maximizes a metric on an
 out-of-distribution validation set.
 
-An NW training step is one support draw, one taped forward of the feature
-net over the query rows and every support's rows together, one taped
-``nw_predict`` node per support and one optimizer update.
+A training step draws its query batch as row indices of the dataset (one
+support draw per batch for the NW variants), then records one taped
+feature-net node over the query rows and every support's rows together,
+one taped ``nw_predict`` node per support (or the linear head for ERM)
+and one cross-entropy node, and ends with one optimizer update.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, LabeledExample
+from .data import Dataset
 from .errors import ConfigError, DomainError, TrainingDiverged
 from .featnet import DEFAULT_FEATURE_DIM, DEFAULT_HIDDEN_DIMS, FeatureNet, LinearHead
 from .infer import FeatureCache, InferenceMode, build_cache, predict
@@ -99,10 +101,10 @@ class ErmModel:
         return self.net.parameters() + self.head.parameters()
 
 
-def _query_arrays(query_batch: list[LabeledExample], n_classes: int):
-    x = np.stack([np.asarray(ex.x, dtype=np.float64) for ex in query_batch])
-    labels = [int(ex.y) for ex in query_batch]
-    return x, labels, onehot(labels, n_classes)
+def _query_arrays(ds: Dataset, idx):
+    """(inputs, labels, one-hot labels) of the query rows ``idx`` of ``ds``."""
+    labels = ds.y[idx]
+    return ds.X[idx], labels, onehot(labels, ds.n_classes)
 
 
 def _embed(net: FeatureNet, query_x, *supports) -> tuple[Tensor, list]:
@@ -140,9 +142,10 @@ def invariance_penalty(net: FeatureNet, query_x, support_a, support_b) -> Tensor
 
 
 def _support_ce(net: FeatureNet, query_batch, ds: Dataset, spec: SupportSpec, rng: Rng) -> Tensor:
-    """NW cross-entropy of one query batch on a support drawn by ``spec``."""
-    qx, labels, q_onehot = _query_arrays(query_batch, ds.n_classes)
-    support = sample_support(ds, spec, set(labels), rng)
+    """NW cross-entropy of the query rows ``query_batch`` (indices into
+    ``ds``) on a support drawn by ``spec``."""
+    qx, labels, q_onehot = _query_arrays(ds, query_batch)
+    support = sample_support(ds, spec, labels, rng)
     return nw_ce_loss(net, qx, q_onehot, support)
 
 
@@ -171,8 +174,8 @@ def loss_explicit(net: FeatureNet, query_batch, ds: Dataset, n_c: int, lambda_: 
     """
     if ds.n_envs < 2:
         raise ConfigError(f"explicit variant needs >= 2 environments, dataset has {ds.n_envs}")
-    qx, labels, q_onehot = _query_arrays(query_batch, ds.n_classes)
-    support_a, support_b = sample_env_pair(ds, n_c, set(labels), rng)
+    qx, labels, q_onehot = _query_arrays(ds, query_batch)
+    support_a, support_b = sample_env_pair(ds, n_c, labels, rng)
     pa, penalty = _prediction_gap(net, qx, support_a, support_b)
     return cross_entropy(pa, q_onehot) + scale(penalty, lambda_), penalty
 
@@ -275,7 +278,7 @@ def train(ds_train: Dataset, ds_val_ood: Dataset, cfg: TrainConfig, metric: str 
                 elif cfg.variant == "nw_unbalanced":
                     loss = loss_unconditioned(net, batch, ds_train, cfg.n_c, r_support, balanced=False)
                 else:
-                    qx, _, q_onehot = _query_arrays(batch, ds_train.n_classes)
+                    qx, _, q_onehot = _query_arrays(ds_train, batch)
                     loss = loss_erm(head, net, qx, q_onehot)
                 grads = backward(tape, loss)
                 loss_val = loss.item()

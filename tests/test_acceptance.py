@@ -63,10 +63,10 @@ def test_criterion_1_gradient_fidelity():
     err_implicit = grad_check(
         lambda: nw_ce_loss(
             net,
-            np.stack([ex.x for ex in batch]),
-            onehot([ex.y for ex in batch], 2),
+            ds.X[batch],
+            onehot(ds.y[batch], 2),
             sample_support(ds, SupportSpec(balanced=True, env=0, n_per_class=2),
-                           {ex.y for ex in batch}, Rng(4)),
+                           set(ds.y[batch]), Rng(4)),
         ),
         net.parameters(), eps=1e-5)
     err_explicit = grad_check(
@@ -115,8 +115,8 @@ def test_criterion_3_constraint_semantics():
     ds = _toy_dataset(n=40, seed=7)
     net = FeatureNet((3, 5, 2), Rng(8))
     batch = sample_query_batch(ds, 4, Rng(9))
-    qx = np.stack([ex.x for ex in batch])
-    s1, s2 = sample_env_pair(ds, 2, {ex.y for ex in batch}, Rng(10))
+    qx = ds.X[batch]
+    s1, s2 = sample_env_pair(ds, 2, set(ds.y[batch]), Rng(10))
 
     zero_pen = invariance_penalty(net, qx, s1, s1).item()
     diff_pen = invariance_penalty(net, qx, s1, s2).item()
@@ -126,8 +126,8 @@ def test_criterion_3_constraint_semantics():
 
     total, _ = loss_explicit(net, batch, ds, n_c=2, lambda_=0.0, rng=Rng(11))
     rng = Rng(11)
-    shared_s1, _ = sample_env_pair(ds, 2, {ex.y for ex in batch}, rng)
-    manual = nw_ce_loss(net, qx, onehot([ex.y for ex in batch], 2), shared_s1)
+    shared_s1, _ = sample_env_pair(ds, 2, set(ds.y[batch]), rng)
+    manual = nw_ce_loss(net, qx, onehot(ds.y[batch], 2), shared_s1)
 
     ok = (zero_pen == 0.0 and (diff_pen > 0.0) == preds_differ and preds_differ
           and total.item() == manual.item())

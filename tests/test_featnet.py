@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from nwlearn import Rng, Tape, backward, grad_check
-from nwlearn.errors import ConfigError, ShapeError
+from nwlearn.errors import ConfigError, DomainError, ShapeError
 from nwlearn.featnet import FeatureNet
-from nwlearn.tensor import Tensor, sum_all
+from nwlearn.tensor import Tensor, add, matmul, relu, sum_all
 
 
 def test_init_shapes():
@@ -88,3 +88,89 @@ def test_extract_recorded_when_watched():
     assert out.tape is tape
     grads = backward(tape, sum_all(out))
     assert set(grads) == set(net.parameters())
+
+
+def composite_extract(net, x):
+    """The feature net as a chain of matmul, add and relu nodes."""
+    h = x if isinstance(x, Tensor) else Tensor(np.atleast_2d(x))
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        h = add(matmul(h, w), b)
+        if i != len(net.weights) - 1:
+            h = relu(h)
+    return h
+
+
+def _value_and_grads(forward, net, x, upstream, watch_input):
+    tape = Tape()
+    inputs = net.parameters() + ([x] if watch_input else [])
+    tape.watch(*inputs)
+    out = forward(net, x)
+    grads = backward(tape, sum_all(out * Tensor(upstream)))
+    return out.data, [grads[t].data for t in inputs]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_extract_node_matches_the_composite_chain(seed):
+    gen = np.random.default_rng(seed)
+    dims = [int(d) for d in gen.integers(1, 9, size=int(gen.integers(2, 6)))]
+    net = FeatureNet(dims, Rng(seed))
+    for b in net.biases:
+        b.data = gen.normal(size=b.shape)
+    for n_rows in (1, int(gen.integers(2, 30))):
+        for watch_input in (False, True):
+            x = Tensor(gen.normal(size=(n_rows, dims[0])))
+            upstream = gen.normal(size=(n_rows, dims[-1]))
+            got, got_grads = _value_and_grads(FeatureNet.extract, net, x, upstream, watch_input)
+            want, want_grads = _value_and_grads(composite_extract, net, x, upstream, watch_input)
+            assert np.array_equal(got, want)
+            assert len(got_grads) == len(want_grads)
+            for g, w in zip(got_grads, want_grads):
+                assert np.array_equal(g, w)
+
+
+def test_extract_is_one_tape_node():
+    net = FeatureNet((3, 5, 4, 2), Rng(9))
+    tape = Tape()
+    tape.watch(*net.parameters())
+    net.extract(np.ones((2, 3)))
+    assert len(tape._nodes) == 1
+
+
+def test_extract_input_alone_on_the_tape_gets_its_gradient():
+    net = FeatureNet((3, 5, 2), Rng(10))
+    x = Tensor(np.random.default_rng(4).normal(size=(4, 3)))
+    tape = Tape()
+    tape.watch(x)
+    grads = backward(tape, sum_all(net.extract(x)))
+    ref_tape = Tape()
+    ref_tape.watch(x)
+    want = backward(ref_tape, sum_all(composite_extract(net, x)))
+    assert np.array_equal(grads[x].data, want[x].data)
+
+
+@pytest.mark.parametrize("taped", [False, True])
+def test_non_finite_intermediate_raises_domain_error(taped):
+    net = FeatureNet((2, 3, 2), Rng(11))
+    # a finite input overflows the hidden pre-activation to -inf, which the
+    # relu would turn into a finite 0
+    net.weights[0].data = np.full((2, 3), -1e300)
+    x = np.full((1, 2), 1e300)
+    tape = Tape()
+    if taped:
+        tape.watch(*net.parameters())
+    with np.errstate(over="ignore"):
+        with pytest.raises(DomainError):
+            composite_extract(net, x)
+        with pytest.raises(DomainError):
+            net.extract(x)
+    net.weights[0].data = np.ones((2, 3))
+    net.biases[1].data = np.array([np.inf, 0.0])  # a non-finite output
+    with pytest.raises(DomainError):
+        net.extract(np.ones((1, 2)))
+
+
+def test_from_weights_rejects_a_bad_bias_shape():
+    with pytest.raises(ConfigError):
+        FeatureNet.from_weights((3, 2), [np.zeros((3, 2))], [np.zeros(3)])
+    with pytest.raises(ConfigError):
+        FeatureNet.from_weights((3, 2), [np.zeros((3, 2))], [np.zeros((1, 2))])

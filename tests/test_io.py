@@ -6,6 +6,7 @@ from nwlearn.data import Dataset, LabeledExample
 from nwlearn.errors import FormatError, ParseError
 from nwlearn.featnet import FeatureNet, LinearHead
 from nwlearn.io import load_checkpoint, load_csv, save_checkpoint, save_csv
+from nwlearn.scmgen import spurious_benchmark
 
 
 def small_dataset(n=6, dim=3, seed=0):
@@ -57,6 +58,66 @@ def test_bad_header_rejected(tmp_path):
     with pytest.raises(ParseError) as exc:
         load_csv(path)
     assert exc.value.line == 1
+
+
+def _row_by_row_csv(ds):
+    """The CSV text written one example at a time."""
+    d = ds.input_dim
+    lines = [",".join([f"x_{i}" for i in range(d)] + ["y", "e"])]
+    for ex in ds.examples:
+        lines.append(",".join([repr(float(v)) for v in ex.x] + [str(int(ex.y)), str(int(ex.e))]))
+    return "\n".join(lines) + "\n"
+
+
+def test_save_csv_matches_a_row_by_row_writer(tmp_path):
+    train, _, _ = spurious_benchmark(True, Rng(3), n_train=300, n_val=30, n_test=30)
+    path = tmp_path / "train.csv"
+    save_csv(train, path)
+    assert path.read_bytes() == _row_by_row_csv(train).encode("utf-8")
+
+
+def test_csv_round_trips_extreme_floats_exactly(tmp_path):
+    x = np.array([[-0.0, 5e-324], [1.7976931348623157e308, -1.7976931348623157e308], [0.1, -2.5e-308]])
+    ds = Dataset.from_arrays(x, [0, 1, 0], [0, 2, 1])
+    path = tmp_path / "edge.csv"
+    save_csv(ds, path)
+    back = load_csv(path)
+    assert back.X.tobytes() == x.tobytes()  # -0.0 keeps its sign
+    assert back.y.tolist() == [0, 1, 0] and back.e.tolist() == [0, 2, 1]
+
+
+def test_blank_lines_are_skipped(tmp_path):
+    path = tmp_path / "blank.csv"
+    path.write_text("x_0,x_1,y,e\n\n0.5,1.5,0,0\n\n-2.0,0.25,1,1\n   \n")
+    ds = load_csv(path)
+    assert ds.X.tolist() == [[0.5, 1.5], [-2.0, 0.25]]
+    assert ds.y.tolist() == [0, 1] and ds.e.tolist() == [0, 1]
+
+
+@pytest.mark.parametrize("body, line", [
+    ("0.5,1.5,0,0\n\n1.0,1,0\n", 4),          # short row
+    ("0.5,1.5,0,0\n0.5,1.5,0,0,\n", 3),        # long row
+    ("0.5,1.5,0,0\n0.5,1.5x,1,0\n", 3),        # bad float
+    ("0.5,1.5,0,0\n0.5,2.5,1.5,0\n", 3),       # fractional label
+    ("0.5,1.5,1.0,0\n", 2),                     # label written as a float
+    ("0.5,1.5,0,0\n0.5,1.5,1,0\n1,1,0,-1\n", 4),  # negative environment
+    ("0.5,1.5,0,0#note\n", 2),                  # '#' is no comment marker
+])
+def test_parse_errors_report_their_line(tmp_path, body, line):
+    path = tmp_path / "bad.csv"
+    path.write_text("x_0,x_1,y,e\n" + body)
+    with pytest.raises(ParseError) as exc:
+        load_csv(path)
+    assert exc.value.line == line
+
+
+@pytest.mark.parametrize("text, line", [("", 1), ("x_0,y,e\n", 1), ("x_0,y,e\n\n\n", 3)])
+def test_empty_files_are_rejected(tmp_path, text, line):
+    path = tmp_path / "empty.csv"
+    path.write_text(text)
+    with pytest.raises(ParseError) as exc:
+        load_csv(path)
+    assert exc.value.line == line
 
 
 def test_checkpoint_round_trip(tmp_path):

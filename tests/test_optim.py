@@ -90,3 +90,29 @@ def test_flat_adam_rejects_a_changed_parameter_layout():
     for changed in (head.parameters(), params[:-1], params[::-1]):
         with pytest.raises(ContractError):
             opt.step(changed, _random_grads(gen, changed))
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 0.05])
+def test_flat_adam_updates_one_vector_in_place(weight_decay):
+    net, head = _net_and_head()
+    params = net.parameters() + head.parameters()
+    opt, ref_opt = Adam(lr=1e-2, weight_decay=weight_decay), ReferenceAdam(lr=1e-2, weight_decay=weight_decay)
+    gen = np.random.default_rng(64)
+    reference = [p.data.copy() for p in params]
+    views = None
+    for step in range(6):
+        if step == 3:
+            # one rebound parameter makes the next step gather again
+            net.load_state_arrays(*net.state_arrays())
+            assert all(p.data is not v for p, v in zip(net.parameters(), views))
+        grads = _random_grads(gen, params)
+        opt.step(params, grads)
+        reference = ref_opt.step(reference, [grads[p].data for p in params])
+        base = params[0].data.base
+        assert base is not None and base.size == sum(p.size for p in params)
+        assert all(p.data.base is base for p in params)
+        if step not in (0, 3):
+            assert all(p.data is v for p, v in zip(params, views))
+        views = [p.data for p in params]
+        for p, want in zip(params, reference):
+            assert np.abs(p.data - want).max() <= 1e-15

@@ -146,16 +146,16 @@ def test_env_pair_frequencies_uniform_chi_square():
 def test_query_batch_full_size_is_permutation():
     ds = make_dataset(np.random.default_rng(11), n=20)
     batch = sample_query_batch(ds, len(ds), Rng(13))
-    xs = sorted(id(ex) for ex in batch)
-    assert xs == sorted(id(ex) for ex in ds.examples)
+    xs = sorted(batch.tolist())
+    assert xs == list(range(len(ds)))
 
 
 def test_query_batch_reproducible():
     ds = make_dataset(np.random.default_rng(12), n=50)
     a = sample_query_batch(ds, 10, Rng(14))
     b = sample_query_batch(ds, 10, Rng(14))
-    assert [ex.y for ex in a] == [ex.y for ex in b]
-    assert all(xa is xb for xa, xb in zip(a, b))
+    assert ds.y[a].tolist() == ds.y[b].tolist()
+    assert all(xa == xb for xa, xb in zip(a, b))
 
 
 def test_query_batch_size_checks():
@@ -173,8 +173,8 @@ def test_query_batch_class_frequencies_match_dataset():
     draws = 10000
     batch_size = 5
     for _ in range(draws // batch_size):
-        for ex in sample_query_batch(ds, batch_size, rng):
-            counts[ex.y] += 1
+        for i in sample_query_batch(ds, batch_size, rng):
+            counts[ds.y[i]] += 1
     freq = counts / counts.sum()
     target = ds.class_counts() / len(ds)
     assert np.abs(freq - target).max() < 0.02
@@ -183,7 +183,7 @@ def test_query_batch_class_frequencies_match_dataset():
 def test_balanced_query_batch_equal_class_counts():
     ds = make_dataset(np.random.default_rng(15), n=200, n_classes=2, n_envs=3)
     batch = sample_balanced_query_batch(ds, 12, Rng(17))
-    ys = np.bincount([ex.y for ex in batch], minlength=2)
+    ys = np.bincount(ds.y[batch], minlength=2)
     assert ys.tolist() == [6, 6]
 
 
@@ -253,3 +253,28 @@ def test_unbalanced_draw_matches_setdiff_form(env, n, n_per_class):
     for seed in range(20):
         batch = sample_support(ds, spec, {0, 1, 2}, Rng(seed))
         assert np.array_equal(batch.source_indices, _setdiff_unbalanced_draw(ds, spec, Rng(seed)))
+
+
+def test_query_batches_are_int64_row_indices():
+    ds = make_dataset(np.random.default_rng(18), n=60, n_classes=2, n_envs=2)
+    for draw in (sample_query_batch, sample_balanced_query_batch):
+        batch = draw(ds, 7, Rng(19))
+        assert batch.dtype == np.int64 and batch.shape == (7,)
+        assert ((batch >= 0) & (batch < len(ds))).all()
+
+
+def test_balanced_query_batch_matches_the_cycling_loop():
+    # small cells and an empty one, so draws wrap around inside a cell
+    ds = make_dataset(np.random.default_rng(20), n=12, n_classes=3, n_envs=2, skip={(1, 2)})
+    for n_q in (1, 5, 12, 40):
+        got = sample_balanced_query_batch(ds, n_q, Rng(21))
+        rng = Rng(21)
+        cells = [rng.permutation(ds.by_env_class[(env, c)]) for env in ds.env_ids
+                 for c in range(ds.n_classes) if len(ds.by_env_class[(env, c)])]
+        picked, offsets, cell_i = [], [0] * len(cells), 0
+        while len(picked) < n_q:
+            bucket = cells[cell_i]
+            picked.append(int(bucket[offsets[cell_i] % len(bucket)]))
+            offsets[cell_i] += 1
+            cell_i = (cell_i + 1) % len(cells)
+        assert got.tolist() == picked

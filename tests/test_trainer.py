@@ -71,8 +71,8 @@ def test_loss_implicit_matches_straight_line_reevaluation():
     env = int(rng.choice(np.array(ds.env_ids)))
     from nwlearn.support import SupportSpec, sample_support
     support = sample_support(ds, SupportSpec(balanced=True, env=env, n_per_class=4),
-                             {ex.y for ex in batch}, rng)
-    qx = np.stack([ex.x for ex in batch])
+                             set(ds.y[batch]), rng)
+    qx = ds.X[batch]
 
     def forward(x):
         h = x
@@ -89,7 +89,7 @@ def test_loss_implicit_matches_straight_line_reevaluation():
     w = np.exp(logits)
     w /= w.sum(axis=1, keepdims=True)
     probs = w @ support.onehot_labels
-    expect = -np.mean([np.log(probs[i, ex.y] + 1e-15) for i, ex in enumerate(batch)])
+    expect = -np.mean([np.log(probs[i, y] + 1e-15) for i, y in enumerate(ds.y[batch])])
     assert loss.item() == pytest.approx(expect, abs=1e-10)
 
 
@@ -97,8 +97,8 @@ def test_explicit_penalty_zero_iff_predictions_coincide():
     ds = toy_dataset(seed=7)
     net = FeatureNet((4, 6, 2), Rng(8))
     batch = sample_query_batch(ds, 4, Rng(9))
-    qx = np.stack([ex.x for ex in batch])
-    s1, s2 = sample_env_pair(ds, 3, {ex.y for ex in batch}, Rng(10))
+    qx = ds.X[batch]
+    s1, s2 = sample_env_pair(ds, 3, set(ds.y[batch]), Rng(10))
 
     # identical supports -> identical predictions -> exactly zero
     assert invariance_penalty(net, qx, s1, s1).item() == 0.0
@@ -135,9 +135,9 @@ def test_explicit_lambda_zero_reduces_to_implicit_on_shared_draw():
     total, _ = loss_explicit(net, batch, ds, n_c=3, lambda_=0.0, rng=Rng(18))
 
     rng = Rng(18)
-    s1, _ = sample_env_pair(ds, 3, {ex.y for ex in batch}, rng)
-    qx = np.stack([ex.x for ex in batch])
-    manual = nw_ce_loss(net, qx, onehot([ex.y for ex in batch], 2), s1)
+    s1, _ = sample_env_pair(ds, 3, set(ds.y[batch]), rng)
+    qx = ds.X[batch]
+    manual = nw_ce_loss(net, qx, onehot(ds.y[batch], 2), s1)
     assert total.item() == manual.item()
 
 
@@ -295,8 +295,8 @@ def test_every_validation_check_is_one_trainer_predict_call(variant, monkeypatch
     assert modes == [expected] * checks
 
 
-@pytest.mark.parametrize("variant, max_nodes", [("nw_implicit", 12), ("nw_explicit", 21),
-                                                ("nw_balanced", 12), ("nw_unbalanced", 12)])
+@pytest.mark.parametrize("variant, max_nodes", [("nw_implicit", 5), ("nw_explicit", 14),
+                                                ("nw_balanced", 5), ("nw_unbalanced", 5)])
 def test_a_step_is_one_forward_on_a_short_tape(variant, max_nodes, monkeypatch):
     import nwlearn.trainer as trainer_module
 
