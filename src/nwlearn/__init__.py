@@ -40,7 +40,7 @@ from .scmgen import (
     spurious_benchmark,
 )
 from .support import SupportBatch, SupportSpec, sample_env_pair, sample_query_batch, sample_support
-from .tensor import Tape, Tensor, backward, forward_primitive, grad_check
+from .tensor import Tape, Tensor, backward, grad_check
 from .trainer import TrainConfig, TrainReport, train
 
 __all__ = [
@@ -73,7 +73,6 @@ __all__ = [
     "compute_metric",
     "cross_entropy",
     "dump_neighbors",
-    "forward_primitive",
     "grad_check",
     "imbalanced_benchmark",
     "knn_predict",

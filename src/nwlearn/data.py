@@ -50,6 +50,18 @@ class Dataset:
         ds._set_columns(X, y, e, n_classes, latents)
         return ds
 
+    @classmethod
+    def like(cls, ds: "Dataset", X) -> "Dataset":
+        """Rows ``X``, one per row of ``ds``, under ``ds``'s labels,
+        environments and buckets, which are shared rather than rebuilt."""
+        X = np.ascontiguousarray(X, dtype=np.float64)
+        if X.ndim != 2 or len(X) != len(ds):
+            raise ContractError(f"rows {X.shape} do not match a dataset of {len(ds)} rows")
+        out = cls.__new__(cls)
+        vars(out).update(vars(ds), X=X, latents=None)
+        vars(out).pop("examples", None)  # ds's rows, if built
+        return out
+
     def _set_columns(self, X, y, e, n_classes, latents):
         self.X = np.ascontiguousarray(X, dtype=np.float64)
         self.y = np.ascontiguousarray(y, dtype=np.int64)

@@ -25,7 +25,7 @@ from .io import load_csv, save_checkpoint, save_csv
 from .metrics import METRICS, compute_metric
 from .rng import Rng
 from .scmgen import imbalanced_benchmark, prevalence_filter, spurious_benchmark
-from .trainer import NW_VARIANTS, TrainConfig, train, variant_mode
+from .trainer import VARIANTS, TrainConfig, train
 
 log = logging.getLogger(__name__)
 
@@ -61,13 +61,18 @@ class ExperimentConfig:
             raise ConfigError(f"metric must be one of {METRICS}, got {self.metric!r}")
         if self.data == "csv" and not (self.csv_train and self.csv_val and self.csv_test):
             raise ConfigError("csv data source needs csv_train, csv_val and csv_test paths")
+        for label in self.modes:
+            parse_mode(label)
 
 
 def parse_mode(label: str) -> InferenceMode:
     """Parse a mode label like ``full`` or ``knn:40`` (override of k)."""
     if ":" in label:
         kind, _, k = label.partition(":")
-        return InferenceMode(kind.strip(), int(k))
+        try:
+            return InferenceMode(kind.strip(), int(k))
+        except ValueError:
+            raise ConfigError(f"mode {label!r}: k must be an integer, got {k!r}") from None
     return InferenceMode(label.strip())
 
 
@@ -99,13 +104,12 @@ def evaluate_modes(model, variant: str, ds_train: Dataset, ds_test: Dataset,
                    modes, metric: str, seed: int) -> dict[str, float]:
     """Evaluate the trained model under every requested inference mode."""
     values: dict[str, float] = {}
-    if variant not in NW_VARIANTS:
+    if VARIANTS[variant].selection is None:
         probs = model.predict_probs(ds_test.X)
         values["parametric"] = compute_metric(probs, ds_test.y, ds_test.e, metric)
         return values
-    net = model
-    cache = build_cache(net, ds_train)
-    query_feats = net.extract(ds_test.X).data
+    cache = build_cache(model, ds_train)
+    query_feats = model.extract(ds_test.X).data
     rngs = dict(zip([m for m in modes], Rng(seed).split(len(list(modes)))))
     for label in modes:
         mode = parse_mode(label)
@@ -161,8 +165,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         try:
             train_cfg = dataclasses.replace(cfg.train, seed=seed)
             model, report = train(ds_train, ds_val, train_cfg, metric=cfg.metric)
-            net = model if cfg.train.variant in NW_VARIANTS else model.net
-            head = None if cfg.train.variant in NW_VARIANTS else model.head
+            parametric = VARIANTS[cfg.train.variant].support is None
+            net, head = (model.net, model.head) if parametric else (model, None)
             save_checkpoint(
                 seed_dir / "checkpoint.nwck",
                 net,
@@ -211,10 +215,10 @@ def run_prevalence_sweep(cfg: ExperimentConfig, prevalences=(0.15, 0.3, 0.5, 0.7
 
     Trains the balanced and unbalanced NW variants per seed, then scores
     both on test sets filtered to each target prevalence of ``class_id``.
-    Each variant is tested with the mode it is selected on during training
-    (``trainer.variant_mode``): ``nw_balanced`` on class-balanced ``full``
-    mode, ``nw_unbalanced`` on the unweighted vote over every training row
-    (exact ``knn`` at k = |cache|).
+    Each variant is tested on the support its ``trainer.VARIANTS`` row
+    selects it on: ``nw_balanced`` on class-balanced ``full`` mode,
+    ``nw_unbalanced`` on the unweighted vote over every training row (exact
+    ``knn`` at k = |cache|).
     """
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -238,7 +242,7 @@ def run_prevalence_sweep(cfg: ExperimentConfig, prevalences=(0.15, 0.3, 0.5, 0.7
                 cache = build_cache(model, ds_train)
                 for p, ds_p in filtered.items():
                     feats = model.extract(ds_p.X).data
-                    probs = predict(variant_mode(variant, cache), cache, feats)
+                    probs = predict(VARIANTS[variant].selection_mode(cache), cache, feats)
                     value = compute_metric(probs, ds_p.y, ds_p.e, cfg.metric)
                     records.append(_metric_record(seed, f"{variant}@{p}", cfg.metric,
                                                   value, len(ds_p)))

@@ -51,31 +51,23 @@ class InferenceMode:
             raise ConfigError(f"k must be >= 1, got {self.k}")
 
 
-class FeatureCache:
-    """Precomputed features for every training example, with partitions."""
+class FeatureCache(Dataset):
+    """Precomputed features for every training example: a ``Dataset`` whose
+    rows are feature vectors, read as ``features``, ``labels`` and ``envs``."""
 
     def __init__(self, features: np.ndarray, labels, envs, n_classes: int):
-        self.features = np.asarray(features, dtype=np.float64)
-        self.labels = np.asarray(labels, dtype=np.int64)
-        self.envs = np.asarray(envs, dtype=np.int64)
-        self.indices = np.arange(len(self.labels))
-        self.n_classes = int(n_classes)
-        self.env_ids = sorted(int(v) for v in np.unique(self.envs))
-        self.by_class = {c: self.indices[self.labels == c] for c in range(self.n_classes)}
-        self.by_env_class = {
-            (env, c): self.indices[(self.envs == env) & (self.labels == c)]
-            for env in self.env_ids
-            for c in range(self.n_classes)
-        }
+        self._set_columns(features, labels, envs, n_classes, None)
 
-    def __len__(self) -> int:
-        return len(self.labels)
+    features = property(lambda self: self.X)
+    labels = property(lambda self: self.y)
+    envs = property(lambda self: self.e)
+    indices = property(lambda self: np.arange(len(self)))
 
 
 def build_cache(net: FeatureNet, ds_train: Dataset) -> FeatureCache:
-    """Extract features for the whole training set with a frozen net."""
-    feats = net.extract(ds_train.X).data
-    return FeatureCache(feats, ds_train.y, ds_train.e, ds_train.n_classes)
+    """Extract features for the whole training set with a frozen net; the
+    cache shares the training set's labels, environments and buckets."""
+    return FeatureCache.like(ds_train, net.extract(ds_train.X).data)
 
 
 def _balanced_weights(buckets: dict[int, np.ndarray], require_all: bool) -> np.ndarray:
@@ -102,8 +94,6 @@ def _balanced_weights(buckets: dict[int, np.ndarray], require_all: bool) -> np.n
 def predict(mode: InferenceMode, cache: FeatureCache, query_feats, rng: Rng | None = None,
             probe: LinearHead | None = None, index: HnswIndex | None = None) -> np.ndarray:
     """Per-query class simplices under the requested inference mode."""
-    if len(cache) == 0:
-        raise ContractError("empty feature cache")
     q = np.atleast_2d(np.asarray(query_feats, dtype=np.float64))
     rng = rng if rng is not None else Rng(0)
 
@@ -181,8 +171,6 @@ def knn_predict(cache: FeatureCache, query_feats, k: int, exact: bool = True,
     At k = |cache| the exact neighbour set is every row, so the vote runs
     over the whole cache without sorting.
     """
-    if len(cache) == 0:
-        raise ContractError("empty feature cache")
     if k < 1 or k > len(cache):
         raise ContractError(f"k must be in [1, {len(cache)}], got {k}")
     q = np.atleast_2d(np.asarray(query_feats, dtype=np.float64))

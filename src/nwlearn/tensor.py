@@ -321,31 +321,6 @@ def take_rows(x, start: int, stop: int) -> Tensor:
     return _result(x.data[start:stop], (x,), vjp)
 
 
-_PRIMITIVES = {
-    "matmul": matmul,
-    "add": add,
-    "mul": mul,
-    "relu": relu,
-    "pairwise_sqdist": pairwise_sqdist,
-    "sqrt": sqrt,
-    "scale": scale,
-    "softmax_rows": softmax_rows,
-    "log": log,
-    "sum": sum_all,
-    "mean": mean_all,
-    "take_rows": take_rows,
-}
-
-
-def forward_primitive(op: str, *inputs) -> Tensor:
-    """Dispatch a primitive by name; see ``_PRIMITIVES`` for the vocabulary."""
-    try:
-        fn = _PRIMITIVES[op]
-    except KeyError:
-        raise ContractError(f"unknown primitive {op!r}") from None
-    return fn(*inputs)
-
-
 def backward(tape: Tape, loss: Tensor) -> dict[Tensor, Tensor]:
     """Reverse sweep over the tape; returns d(loss)/d(p) per watched parameter.
 

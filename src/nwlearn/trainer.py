@@ -1,12 +1,13 @@
 """Training loops.
 
-Variants: the per-environment objective trained one sampled environment at
-a time (``nw_implicit``), its Lagrangian counterpart with a cross-
-environment prediction-matching penalty (``nw_explicit``), support
-balancing without environment conditioning (``nw_balanced``), neither
-(``nw_unbalanced``), and the parametric baselines ``erm`` /
-``erm_balanced``. Model selection maximizes a metric on an
-out-of-distribution validation set.
+A training variant is nothing more than a choice of support set: one
+environment or every one, class-balanced or not. ``VARIANTS`` holds one
+row per variant; the step's loss, its query draw and the support that
+model selection scores on an out-of-distribution validation set all read
+the row. The implicit objective (``nw_implicit``) is read as: a query
+batch drawn from every training environment is scored against one
+environment's class-balanced support, the environments taken in a
+shuffled order per epoch.
 
 A training step draws its query batch as row indices of the dataset (one
 support draw per batch for the NW variants), then records one taped
@@ -41,8 +42,51 @@ from .tensor import Tape, Tensor, backward, mul, scale, sub, sum_all, take_rows
 
 log = logging.getLogger(__name__)
 
-VARIANTS = ("nw_implicit", "nw_explicit", "nw_balanced", "nw_unbalanced", "erm", "erm_balanced")
-NW_VARIANTS = ("nw_implicit", "nw_explicit", "nw_balanced", "nw_unbalanced")
+
+@dataclass(frozen=True)
+class Variant:
+    """One row of ``VARIANTS``.
+
+    ``support``: ``"env"`` (one training environment), ``"pair"`` (two
+    distinct ones, plus lambda_ times their prediction gap), ``"all"``
+    (every environment) or None (the parametric head instead of a vote).
+    ``balanced`` class-balances the support and ``balanced_queries`` the
+    query draw over (environment, class) cells. ``selection`` is what the
+    variant is selected and tested on: ``"full"``, ``"knn_all"`` (the
+    unweighted vote over every training row, ``knn`` at k = |cache|) or
+    None (the head).
+    """
+
+    support: str | None
+    balanced: bool = True
+    balanced_queries: bool = False
+    selection: str | None = "full"
+
+    def selection_mode(self, cache: FeatureCache) -> InferenceMode:
+        return InferenceMode("knn", len(cache)) if self.selection == "knn_all" else InferenceMode("full")
+
+    def loss(self, net: FeatureNet, head: LinearHead | None, ds: Dataset, query_batch,
+             n_c: int, lambda_: float, rng: Rng, env: int | None) -> tuple[Tensor, Tensor | None]:
+        """(loss, penalty or None) of one step on the query rows
+        ``query_batch`` (indices into ``ds``); ``env`` is the environment of
+        an ``"env"`` support."""
+        if self.support == "pair":
+            return loss_explicit(net, query_batch, ds, n_c, lambda_, rng)
+        qx, labels, q_onehot = _query_arrays(ds, query_batch)
+        if self.support is None:
+            return cross_entropy(head.predict_probs(net.extract(qx)), q_onehot), None
+        spec = SupportSpec(balanced=self.balanced, env=env if self.support == "env" else None, n_per_class=n_c)
+        return nw_ce_loss(net, qx, q_onehot, sample_support(ds, spec, labels, rng)), None
+
+
+VARIANTS: dict[str, Variant] = {
+    "nw_implicit": Variant(support="env"),
+    "nw_explicit": Variant(support="pair"),
+    "nw_balanced": Variant(support="all"),
+    "nw_unbalanced": Variant(support="all", balanced=False, selection="knn_all"),
+    "erm": Variant(support=None, selection=None),
+    "erm_balanced": Variant(support=None, balanced_queries=True, selection=None),
+}
 
 
 @dataclass
@@ -64,9 +108,9 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
-            raise ConfigError(f"unknown variant {self.variant!r}; choose from {VARIANTS}")
-        if self.variant == "nw_explicit" and self.lambda_ <= 0:
-            raise ConfigError(f"lambda_ must be positive for nw_explicit, got {self.lambda_}")
+            raise ConfigError(f"unknown variant {self.variant!r}; choose from {tuple(VARIANTS)}")
+        if VARIANTS[self.variant].support == "pair" and self.lambda_ <= 0:
+            raise ConfigError(f"lambda_ must be positive for {self.variant}, got {self.lambda_}")
         if self.n_q < 1 or self.n_c < 1:
             raise ConfigError(f"n_q and n_c must be >= 1, got {self.n_q}, {self.n_c}")
         if self.max_epochs < 0:
@@ -141,71 +185,27 @@ def invariance_penalty(net: FeatureNet, query_x, support_a, support_b) -> Tensor
     return _prediction_gap(net, query_x, support_a, support_b)[1]
 
 
-def _support_ce(net: FeatureNet, query_batch, ds: Dataset, spec: SupportSpec, rng: Rng) -> Tensor:
-    """NW cross-entropy of the query rows ``query_batch`` (indices into
-    ``ds``) on a support drawn by ``spec``."""
-    qx, labels, q_onehot = _query_arrays(ds, query_batch)
-    support = sample_support(ds, spec, labels, rng)
-    return nw_ce_loss(net, qx, q_onehot, support)
-
-
-def loss_implicit(net: FeatureNet, query_batch, ds: Dataset, n_c: int, rng: Rng,
-                  env: int | None = None) -> Tensor:
-    """One environment's term of the per-environment objective.
-
-    Draws the environment uniformly unless the caller supplies one (the
-    train loop cycles a shuffled environment order per epoch so every
-    environment contributes).
-    """
-    if ds.n_envs < 1:
-        raise ConfigError("dataset has no environments")
-    if env is None:
-        env = int(rng.choice(np.array(ds.env_ids)))
-    return _support_ce(net, query_batch, ds, SupportSpec(balanced=True, env=env, n_per_class=n_c), rng)
-
-
 def loss_explicit(net: FeatureNet, query_batch, ds: Dataset, n_c: int, lambda_: float,
                   rng: Rng) -> tuple[Tensor, Tensor]:
     """Lagrangian objective on a sampled environment pair.
 
     Returns (total loss, penalty term). The cross-entropy is computed on
-    the first support; at lambda_=0 this reduces exactly to the implicit
-    loss on the same draw.
+    the first support; at lambda_=0 this reduces exactly to the loss of an
+    ``"env"`` row on the same draw.
     """
-    if ds.n_envs < 2:
-        raise ConfigError(f"explicit variant needs >= 2 environments, dataset has {ds.n_envs}")
     qx, labels, q_onehot = _query_arrays(ds, query_batch)
     support_a, support_b = sample_env_pair(ds, n_c, labels, rng)
     pa, penalty = _prediction_gap(net, qx, support_a, support_b)
     return cross_entropy(pa, q_onehot) + scale(penalty, lambda_), penalty
 
 
-def loss_unconditioned(net: FeatureNet, query_batch, ds: Dataset, n_c: int, rng: Rng,
-                       balanced: bool = True) -> Tensor:
-    """NW loss with support drawn from all environments (balanced or not)."""
-    return _support_ce(net, query_batch, ds, SupportSpec(balanced=balanced, env=None, n_per_class=n_c), rng)
-
-
-def loss_erm(head: LinearHead, net: FeatureNet, query_x, query_onehot) -> Tensor:
-    """Cross-entropy of the parametric softmax head on extracted features."""
-    return cross_entropy(head.predict_probs(net.extract(query_x)), query_onehot)
-
-
-def variant_mode(variant: str, cache: FeatureCache) -> InferenceMode:
-    """The inference mode an NW variant is selected and tested with: the
-    vote over every training row once (exact k-NN at k = |cache|) for
-    ``nw_unbalanced``, class-balanced ``full`` mode for the others."""
-    return InferenceMode("knn", len(cache)) if variant == "nw_unbalanced" else InferenceMode("full")
-
-
-def _evaluate(variant: str, net: FeatureNet, head: LinearHead | None,
+def _evaluate(row: Variant, net: FeatureNet, head: LinearHead | None,
               ds_train: Dataset, ds_val: Dataset, metric: str) -> float:
-    if variant in NW_VARIANTS:
-        cache = build_cache(net, ds_train)
-        q = net.extract(ds_val.X).data
-        probs = predict(variant_mode(variant, cache), cache, q)
-    else:
+    if head is not None:
         probs = head.predict_probs(net.extract(ds_val.X)).data
+    else:
+        cache = build_cache(net, ds_train)
+        probs = predict(row.selection_mode(cache), cache, net.extract(ds_val.X).data)
     return compute_metric(probs, ds_val.y, ds_val.e, metric)
 
 
@@ -213,25 +213,21 @@ def train(ds_train: Dataset, ds_val_ood: Dataset, cfg: TrainConfig, metric: str 
     """Run the configured variant; returns (model, TrainReport).
 
     The returned model carries the parameters of the checkpoint that
-    maximized ``metric`` on the OOD validation set. Each variant is scored
-    through one ``predict`` call per check, on the support it is tested
-    with: ``nw_unbalanced`` on the unweighted NW vote over every training
-    row (``knn`` at k = |cache|), the other NW variants on class-balanced
-    ``full`` mode, ERM with the parametric head.
+    maximized ``metric`` on the OOD validation set. Each check scores the
+    variant through one ``predict`` call on its row's selection support,
+    or through the parametric head.
     """
     overlap = set(ds_train.env_ids) & set(ds_val_ood.env_ids)
     if overlap:
         raise ConfigError(f"validation environments {sorted(overlap)} overlap the training set")
-    if cfg.variant == "nw_explicit" and ds_train.n_envs < 2:
-        raise ConfigError("nw_explicit needs >= 2 training environments")
 
+    row = VARIANTS[cfg.variant]
     root = Rng(cfg.seed)
     r_init, r_query, r_support, r_env = root.split(4)
     net = FeatureNet([ds_train.input_dim, *cfg.hidden_dims, cfg.feature_dim], r_init)
-    is_erm = cfg.variant in ("erm", "erm_balanced")
-    head = LinearHead(cfg.feature_dim, ds_train.n_classes) if is_erm else None
-    model = ErmModel(net, head) if is_erm else net
-    params = model.parameters() if is_erm else net.parameters()
+    head = LinearHead(cfg.feature_dim, ds_train.n_classes) if row.support is None else None
+    model = net if head is None else ErmModel(net, head)
+    params = model.parameters()
     opt = make_optimizer(cfg.optimizer, cfg.lr, cfg.weight_decay)
 
     steps_per_epoch = max(1, len(ds_train) // cfg.n_q)
@@ -239,19 +235,13 @@ def train(ds_train: Dataset, ds_val_ood: Dataset, cfg: TrainConfig, metric: str 
     best_snapshot = None
     global_step = 0
 
-    def snapshot():
-        state = [net.state_arrays()]
-        if head is not None:
-            state.append(head.state_arrays())
-        return state
-
     def consider(epoch: int, value: float):
         nonlocal best_snapshot
         if report.best_val_metric is None or value > report.best_val_metric:
             report.best_val_metric = value
             report.selected_epoch = epoch
             report.selected_step = global_step
-            best_snapshot = snapshot()
+            best_snapshot = [p.data.copy() for p in params]
 
     for epoch in range(cfg.max_epochs):
         if cfg.lr_decay_every and epoch and epoch % cfg.lr_decay_every == 0:
@@ -259,27 +249,13 @@ def train(ds_train: Dataset, ds_val_ood: Dataset, cfg: TrainConfig, metric: str 
         env_cycle = r_env.permutation(np.array(ds_train.env_ids))
         losses, penalties = [], []
         for step in range(steps_per_epoch):
-            if cfg.variant == "erm_balanced":
-                batch = sample_balanced_query_batch(ds_train, cfg.n_q, r_query)
-            else:
-                batch = sample_query_batch(ds_train, cfg.n_q, r_query)
+            draw = sample_balanced_query_batch if row.balanced_queries else sample_query_batch
+            batch = draw(ds_train, cfg.n_q, r_query)
             tape = Tape()
             tape.watch(*params)
-            penalty_val = 0.0
             try:
-                if cfg.variant == "nw_implicit":
-                    env = int(env_cycle[step % len(env_cycle)])
-                    loss = loss_implicit(net, batch, ds_train, cfg.n_c, r_support, env=env)
-                elif cfg.variant == "nw_explicit":
-                    loss, penalty = loss_explicit(net, batch, ds_train, cfg.n_c, cfg.lambda_, r_support)
-                    penalty_val = penalty.item()
-                elif cfg.variant == "nw_balanced":
-                    loss = loss_unconditioned(net, batch, ds_train, cfg.n_c, r_support, balanced=True)
-                elif cfg.variant == "nw_unbalanced":
-                    loss = loss_unconditioned(net, batch, ds_train, cfg.n_c, r_support, balanced=False)
-                else:
-                    qx, _, q_onehot = _query_arrays(ds_train, batch)
-                    loss = loss_erm(head, net, qx, q_onehot)
+                loss, penalty = row.loss(net, head, ds_train, batch, cfg.n_c, cfg.lambda_, r_support,
+                                         int(env_cycle[step % len(env_cycle)]))
                 grads = backward(tape, loss)
                 loss_val = loss.item()
             except DomainError as exc:
@@ -293,11 +269,11 @@ def train(ds_train: Dataset, ds_val_ood: Dataset, cfg: TrainConfig, metric: str 
                 )
             opt.step(params, grads)
             losses.append(loss_val)
-            penalties.append(penalty_val)
+            penalties.append(0.0 if penalty is None else penalty.item())
             global_step += 1
             if cfg.eval_every and global_step % cfg.eval_every == 0:
-                consider(epoch, _evaluate(cfg.variant, net, head, ds_train, ds_val_ood, metric))
-        val_value = _evaluate(cfg.variant, net, head, ds_train, ds_val_ood, metric)
+                consider(epoch, _evaluate(row, net, head, ds_train, ds_val_ood, metric))
+        val_value = _evaluate(row, net, head, ds_train, ds_val_ood, metric)
         consider(epoch, val_value)
         report.epochs.append(EpochStats(
             epoch=epoch,
@@ -308,7 +284,6 @@ def train(ds_train: Dataset, ds_val_ood: Dataset, cfg: TrainConfig, metric: str 
         log.info("epoch %d: loss %.4f val %.4f", epoch, report.epochs[-1].train_loss, val_value)
 
     if best_snapshot is not None:
-        net.load_state_arrays(*best_snapshot[0])
-        if head is not None:
-            head.load_state_arrays(*best_snapshot[1])
+        for p, data in zip(params, best_snapshot):
+            p.data = data
     return model, report

@@ -44,6 +44,11 @@ def test_config_validation(tmp_path):
         tiny_experiment(tmp_path, metric="auroc")
     with pytest.raises(ConfigError):
         tiny_experiment(tmp_path, data="csv")
+    # mode labels fail at configuration, not after every seed has trained
+    with pytest.raises(ConfigError):
+        tiny_experiment(tmp_path, modes=("knn:x",))
+    with pytest.raises(ConfigError):
+        tiny_experiment(tmp_path, modes=("bogus",))
 
 
 def test_parse_mode():

@@ -66,6 +66,28 @@ def test_build_cache_matches_extract():
     assert (again.features == cache.features).all()
 
 
+def test_build_cache_shares_the_dataset_buckets():
+    gen = np.random.default_rng(3)
+    ds = Dataset.from_arrays(gen.normal(size=(90, 4)), gen.integers(0, 3, size=90),
+                             gen.integers(0, 3, size=90), 3)
+    assert len(ds.examples) == 90  # built before the cache, so the cache must not inherit them
+    net = FeatureNet((4, 6, 3), Rng(4))
+    cache = build_cache(net, ds)
+    assert cache.labels is ds.y and cache.envs is ds.e and cache.env_ids is ds.env_ids
+    for buckets in ("by_class", "by_env", "by_env_class"):
+        ours, theirs = getattr(cache, buckets), getattr(ds, buckets)
+        assert ours.keys() == theirs.keys() and all(ours[k] is theirs[k] for k in theirs)
+    assert np.array_equal(cache.examples[5].x, cache.features[5])
+    assert np.array_equal(cache.indices, np.arange(90))
+
+    from_columns = FeatureCache(cache.features.copy(), ds.y.copy(), ds.e.copy(), ds.n_classes)
+    q = gen.normal(size=(7, 3))
+    for label in ("random", "full", "ensemble", "cluster", "knn", "hnsw"):
+        mode = InferenceMode(label)
+        assert np.array_equal(predict(mode, cache, q, rng=Rng(5)), predict(mode, from_columns, q, rng=Rng(5)))
+    assert np.array_equal(knn_predict(cache, q, k=90), knn_predict(from_columns, q, k=90))
+
+
 def test_all_modes_emit_valid_simplices():
     cache = make_cache()
     q = np.random.default_rng(3).normal(size=(7, 5))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nwlearn import Tape, Tensor, backward, forward_primitive, grad_check
+from nwlearn import Tape, Tensor, backward, grad_check
 from nwlearn.errors import ConfigError, ContractError, DomainError, ShapeError
 from nwlearn.optim import Adam, Sgd, make_optimizer
 from nwlearn.tensor import (
@@ -58,13 +58,6 @@ def test_log_of_nonpositive_is_domain_error():
 def test_nonfinite_tensor_rejected():
     with pytest.raises(DomainError):
         Tensor([np.inf])
-
-
-def test_forward_primitive_dispatch():
-    out = forward_primitive("relu", Tensor([-2.0, 5.0]))
-    assert out.data.tolist() == [0.0, 5.0]
-    with pytest.raises(ContractError):
-        forward_primitive("conv2d", Tensor([0.0]))
 
 
 def test_backward_sum_is_ones():

@@ -7,20 +7,11 @@ from nwlearn import Rng, grad_check
 from nwlearn.data import Dataset, LabeledExample
 from nwlearn.errors import ConfigError
 from nwlearn.featnet import FeatureNet, LinearHead
-from nwlearn.infer import build_cache, knn_predict
+from nwlearn.infer import InferenceMode, build_cache, knn_predict, predict
 from nwlearn.metrics import compute_metric
 from nwlearn.nwhead import cross_entropy, nw_predict, onehot
-from nwlearn.support import sample_env_pair, sample_query_batch
-from nwlearn.trainer import (
-    TrainConfig,
-    invariance_penalty,
-    loss_erm,
-    loss_explicit,
-    loss_implicit,
-    loss_unconditioned,
-    nw_ce_loss,
-    train,
-)
+from nwlearn.support import SupportSpec, sample_env_pair, sample_query_batch, sample_support
+from nwlearn.trainer import VARIANTS, TrainConfig, invariance_penalty, loss_explicit, nw_ce_loss, train
 
 
 def toy_dataset(n=120, n_envs=2, dim=4, seed=0, separation=1.5):
@@ -54,7 +45,7 @@ def test_loss_uniform_is_log_c():
     for w in net.weights:
         w.data = np.zeros_like(w.data)
     batch = sample_query_batch(ds, 6, Rng(1))
-    loss = loss_implicit(net, batch, ds, n_c=4, rng=Rng(2))
+    loss, _ = VARIANTS["nw_implicit"].loss(net, None, ds, batch, n_c=4, lambda_=0.0, rng=Rng(2), env=0)
     # zero features everywhere -> equal distances -> uniform votes
     assert loss.item() == pytest.approx(np.log(2), abs=1e-9)
 
@@ -65,13 +56,11 @@ def test_loss_implicit_matches_straight_line_reevaluation():
     ds = toy_dataset(seed=3)
     net = FeatureNet((4, 8, 3), Rng(4))
     batch = sample_query_batch(ds, 5, Rng(5))
-    loss = loss_implicit(net, batch, ds, n_c=4, rng=Rng(6))
+    env = 1
+    loss, _ = VARIANTS["nw_implicit"].loss(net, None, ds, batch, n_c=4, lambda_=0.0, rng=Rng(6), env=env)
 
-    rng = Rng(6)
-    env = int(rng.choice(np.array(ds.env_ids)))
-    from nwlearn.support import SupportSpec, sample_support
     support = sample_support(ds, SupportSpec(balanced=True, env=env, n_per_class=4),
-                             set(ds.y[batch]), rng)
+                             set(ds.y[batch]), Rng(6))
     qx = ds.X[batch]
 
     def forward(x):
@@ -153,9 +142,8 @@ def test_erm_zero_head_is_log_c():
     ds = toy_dataset(seed=23)
     net = FeatureNet((4, 6, 3), Rng(24))
     head = LinearHead(3, 2)
-    qx = ds.X[:10]
-    labels = onehot(ds.y[:10], 2)
-    assert loss_erm(head, net, qx, labels).item() == pytest.approx(np.log(2), abs=1e-9)
+    loss, _ = VARIANTS["erm"].loss(net, head, ds, np.arange(10), n_c=8, lambda_=0.0, rng=Rng(0), env=None)
+    assert loss.item() == pytest.approx(np.log(2), abs=1e-9)
 
 
 def test_erm_separable_reaches_perfect_train_accuracy():
@@ -176,7 +164,8 @@ def test_full_objective_gradients_match_finite_differences():
     batch = sample_query_batch(ds, 4, Rng(30))
 
     err_implicit = grad_check(
-        lambda: loss_implicit(net, batch, ds, n_c=2, rng=Rng(31)), net.parameters(), eps=1e-5)
+        lambda: VARIANTS["nw_implicit"].loss(net, None, ds, batch, n_c=2, lambda_=0.0, rng=Rng(31), env=0)[0],
+        net.parameters(), eps=1e-5)
     assert err_implicit < 1e-4
 
     err_explicit = grad_check(
@@ -189,8 +178,8 @@ def test_unconditioned_losses_run_both_ways():
     ds = toy_dataset(seed=33)
     net = FeatureNet((4, 5, 2), Rng(34))
     batch = sample_query_batch(ds, 4, Rng(35))
-    for balanced in (True, False):
-        loss = loss_unconditioned(net, batch, ds, n_c=3, rng=Rng(36), balanced=balanced)
+    for variant in ("nw_balanced", "nw_unbalanced"):
+        loss, _ = VARIANTS[variant].loss(net, None, ds, batch, n_c=3, lambda_=0.0, rng=Rng(36), env=None)
         assert np.isfinite(loss.item())
 
 
@@ -258,16 +247,23 @@ def test_selected_checkpoint_maximizes_val_metric():
     assert report.best_val_metric == max(ep.val_metric for ep in report.epochs)
 
 
-def test_unbalanced_selection_scores_its_own_support():
+@pytest.mark.parametrize("variant", list(VARIANTS))
+def test_selection_scores_its_own_support(variant):
     # 9:1 class skew and weak separation, so a class-balanced vote would
-    # score differently from the unweighted one the variant is tested with
+    # score differently from the unweighted one nw_unbalanced is tested with
     ds = Dataset([ex for i, ex in enumerate(toy_dataset(n=400, seed=50, separation=0.5).examples)
                   if ex.y == 0 or i % 9 == 0], 2)
     val = Dataset([LabeledExample(x=ex.x, y=ex.y, e=5) for ex in toy_dataset(seed=51, separation=0.5).examples], 2)
-    cfg = TrainConfig(variant="nw_unbalanced", max_epochs=1, seed=52, eval_every=0,
+    cfg = TrainConfig(variant=variant, max_epochs=1, seed=52, eval_every=0,
                       hidden_dims=(8,), feature_dim=4)
     model, report = train(ds, val, cfg)
-    probs = knn_predict(build_cache(model, ds), model.extract(val.X).data, k=len(ds))
+    selection = VARIANTS[variant].selection
+    if selection is None:
+        probs = model.predict_probs(val.X)
+    elif selection == "knn_all":
+        probs = knn_predict(build_cache(model, ds), model.extract(val.X).data, k=len(ds))
+    else:
+        probs = predict(InferenceMode("full"), build_cache(model, ds), model.extract(val.X).data)
     assert report.epochs[0].val_metric == compute_metric(probs, val.y, val.e, "accuracy")
 
 
