@@ -30,7 +30,7 @@ from .infer import (
 )
 from .io import load_checkpoint, load_csv, save_checkpoint, save_csv
 from .metrics import compute_metric
-from .nwhead import cross_entropy, nw_predict, onehot, similarity
+from .nwhead import cross_entropy, nw_predict, onehot
 from .rng import Rng
 from .scmgen import (
     ScmConfig,
@@ -90,7 +90,6 @@ __all__ = [
     "sample_support",
     "save_checkpoint",
     "save_csv",
-    "similarity",
     "spurious_benchmark",
     "train",
     "train_probe",

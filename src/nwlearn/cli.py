@@ -13,8 +13,6 @@ import logging
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .errors import NwError
 from .experiment import (
     ExperimentConfig,

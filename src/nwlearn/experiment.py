@@ -21,7 +21,7 @@ import numpy as np
 from .data import Dataset
 from .errors import ConfigError, ParseError
 from .infer import InferenceMode, build_cache, predict, train_probe
-from .io import load_csv, save_checkpoint, save_csv
+from .io import load_csv, save_checkpoint
 from .metrics import METRICS, compute_metric
 from .rng import Rng
 from .scmgen import imbalanced_benchmark, prevalence_filter, spurious_benchmark
@@ -270,8 +270,7 @@ _EXPERIMENT_KEYS = {
 _TRAIN_KEYS = {
     "variant": str, "lambda": float, "n_q": int, "n_c": int, "lr": float,
     "weight_decay": float, "optimizer": str, "max_epochs": int, "seed": int,
-    "eval_every": int, "feature_dim": int, "lr_decay_gamma": float,
-    "lr_decay_every": int,
+    "eval_every": int, "feature_dim": int,
 }
 
 
@@ -344,5 +343,4 @@ __all__ = [
     "parse_mode",
     "run_experiment",
     "run_prevalence_sweep",
-    "save_csv",
 ]

@@ -109,9 +109,6 @@ class FeatureNet:
 
         return _result(h, (x, *params) if x_taped else tuple(params), vjp)
 
-    def __call__(self, inputs) -> Tensor:
-        return self.extract(inputs)
-
 
 class LinearHead:
     """Zero-initialized softmax linear classifier over feature vectors.

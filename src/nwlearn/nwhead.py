@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractError, DomainError, ShapeError
-from .tensor import Tensor, _result, _wrap, pairwise_sqdist, scale, softmax, softmax_rows, sqdist, sqrt
+from .tensor import Tensor, _result, _wrap, softmax, sqdist
 
 # keeps the log in cross_entropy finite when a class weight underflows
 _CE_EPS = 1e-15
@@ -26,20 +26,15 @@ _CE_EPS = 1e-15
 _VOTE_BLOCK = 64
 
 
-def similarity(a, b) -> Tensor:
-    """Pairwise similarity matrix: entry (i, j) = -||a_i - b_j||."""
-    return scale(sqrt(pairwise_sqdist(a, b)), -1.0)
-
-
 def nw_predict(query_feats, support) -> Tensor:
     """Kernel-weighted vote over support labels, one simplex row per query.
 
     ``support`` is a SupportBatch whose ``features`` live in the same space
     as ``query_feats``. Differentiable end-to-end when the inputs sit on a
-    live tape, as one taped node: the forward is the arithmetic of
-    ``softmax_rows(similarity(q, s)) @ labels``, and the hand-written VJP
-    runs that chain backwards (a zero distance gets the sqrt's subgradient
-    0).
+    live tape, as one taped node: the forward is the row-wise softmax of
+    the similarities -||q_i - s_j||, times the labels, and the hand-written
+    VJP runs that chain backwards (a zero distance gets the square root's
+    subgradient 0).
     """
     labels = np.asarray(support.onehot_labels, dtype=np.float64)
     if labels.shape[0] == 0:

@@ -96,9 +96,10 @@ class Adam:
             flat -= g
 
 
+OPTIMIZERS = {"sgd": Sgd, "adam": Adam}
+
+
 def make_optimizer(kind: str, lr: float, weight_decay: float = 0.0):
-    if kind == "sgd":
-        return Sgd(lr, weight_decay)
-    if kind == "adam":
-        return Adam(lr, weight_decay)
-    raise ConfigError(f"unknown optimizer {kind!r}")
+    if kind not in OPTIMIZERS:
+        raise ConfigError(f"unknown optimizer {kind!r}; choose from {tuple(OPTIMIZERS)}")
+    return OPTIMIZERS[kind](lr, weight_decay)

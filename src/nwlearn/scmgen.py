@@ -68,10 +68,6 @@ class ScmConfig:
     def d_style(self) -> int:
         return self.style_means.shape[2]
 
-    @property
-    def train_env_ids(self) -> list[int]:
-        return [e for e in range(self.n_envs) if e not in self.ood_env_ids]
-
 
 def random_mix_matrix(d_latent: int, d_x: int, rng: Rng) -> np.ndarray:
     """Orthonormal-row mix: rank is d_latent by construction."""

@@ -25,16 +25,11 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class SupportSpec:
-    """What to sample: class balancing, environment conditioning, size.
-
-    ``subsample_classes`` restricts balanced sampling to a class subset for
-    many-class tasks; the sampler always widens it to cover the query labels.
-    """
+    """What to sample: class balancing, environment conditioning, size."""
 
     balanced: bool = True
     env: int | None = None
     n_per_class: int = 8
-    subsample_classes: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.balanced and self.n_per_class < 1:
@@ -80,27 +75,17 @@ class SupportBatch:
         return self.onehot_labels.argmax(axis=1)
 
 
-def _included_classes(ds: Dataset, spec: SupportSpec, query_labels) -> list[int]:
-    query_labels = {int(c) for c in query_labels}
-    outside = query_labels - set(range(ds.n_classes))
-    if outside:
-        raise CoverageError(
-            f"query labels {sorted(outside)} are not classes of the dataset",
-            class_id=min(outside),
-        )
-    if spec.subsample_classes is None:
-        return list(range(ds.n_classes))
-    return sorted(set(int(c) for c in spec.subsample_classes) | query_labels)
-
-
 def _class_bucket(ds: Dataset, env: int | None, c: int) -> np.ndarray:
-    return ds.by_class[c] if env is None else ds.by_env_class[(env, c)]
+    bucket = ds.by_class[c] if env is None else ds.by_env_class[(env, c)]
+    if len(bucket) == 0:
+        raise CoverageError(f"no examples of class {c} in environment {env}", env=env, class_id=c)
+    return bucket
 
 
 def sample_support(ds: Dataset, spec: SupportSpec, query_labels, rng: Rng) -> SupportBatch:
     """Draw one support set according to ``spec``.
 
-    Balanced mode cycles through the included classes and draws exactly
+    Balanced mode cycles through every class and draws exactly
     ``n_per_class`` examples from each, without replacement inside a class
     (with replacement plus a warning when a bucket is smaller than that).
     Unbalanced mode guarantees coverage with one example per class, then
@@ -109,18 +94,17 @@ def sample_support(ds: Dataset, spec: SupportSpec, query_labels, rng: Rng) -> Su
     """
     if spec.env is not None and spec.env not in ds.by_env:
         raise ConfigError(f"environment {spec.env} not present in dataset")
-    included = _included_classes(ds, spec, query_labels)
+    outside = {int(c) for c in query_labels} - set(range(ds.n_classes))
+    if outside:
+        raise CoverageError(
+            f"query labels {sorted(outside)} are not classes of the dataset",
+            class_id=min(outside),
+        )
 
     if spec.balanced:
         parts = []
-        for c in included:
+        for c in range(ds.n_classes):
             bucket = _class_bucket(ds, spec.env, c)
-            if len(bucket) == 0:
-                raise CoverageError(
-                    f"no examples of class {c} in environment {spec.env}",
-                    env=spec.env,
-                    class_id=c,
-                )
             if len(bucket) >= spec.n_per_class:
                 parts.append(rng.choice(bucket, size=spec.n_per_class, replace=False))
             else:
@@ -131,16 +115,10 @@ def sample_support(ds: Dataset, spec: SupportSpec, query_labels, rng: Rng) -> Su
                 parts.append(rng.choice(bucket, size=spec.n_per_class, replace=True))
         idx = np.concatenate(parts)
     else:
-        total = spec.n_per_class * len(included)
+        total = spec.n_per_class * ds.n_classes
         cover = []
-        for c in included:
+        for c in range(ds.n_classes):
             bucket = _class_bucket(ds, spec.env, c)
-            if len(bucket) == 0:
-                raise CoverageError(
-                    f"no examples of class {c} in environment {spec.env}",
-                    env=spec.env,
-                    class_id=c,
-                )
             cover.append(int(rng.choice(bucket)))
         pool = ds.by_env[spec.env] if spec.env is not None else np.arange(len(ds))
         # pool is sorted and unique, so this is np.setdiff1d(pool, cover)

@@ -5,8 +5,8 @@ parameter's data in place. Gradients are recorded
 on an explicit :class:`Tape`: watch the parameters, run the forward pass,
 then call :func:`backward` once. Ops record a node only when an input sits
 on a live tape, so the identical code path serves training and inference.
-The plain-numpy :func:`sqdist` and :func:`softmax` compute the forward of
-the taped distance and softmax, and the untaped inference vote;
+The plain-numpy :func:`sqdist` and :func:`softmax` compute the distances
+and the softmax inside the taped NW vote and the untaped inference votes;
 :func:`smallest_k` is the one "k nearest by (distance, index)" selection.
 """
 
@@ -15,10 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractError, DomainError, ShapeError
-
-# negative round-off this small is absorbed by sqrt instead of raising
-_SQRT_SLACK = 1e-9
-
 
 class Tensor:
     """A dense float64 array, optionally attached to a Tape."""
@@ -47,24 +43,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.shape})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 class Tape:
@@ -172,16 +150,8 @@ def matmul(a, b) -> Tensor:
 
 
 def add(a, b) -> Tensor:
-    """Elementwise sum. Accepts equal shapes, matrix + row vector (bias),
-    or tensor + python scalar (constant offset)."""
-    a = _wrap(a)
-    if isinstance(b, (int, float)):
-
-        def vjp_scalar(g):
-            return (g,)
-
-        return _result(a.data + float(b), (a,), vjp_scalar)
-    b = _wrap(b)
+    """Elementwise sum of equal shapes, or matrix + row vector (bias)."""
+    a, b = _wrap(a), _wrap(b)
     if a.shape == b.shape:
 
         def vjp_same(g):
@@ -223,43 +193,6 @@ def scale(x, c: float) -> Tensor:
     return _result(c * x.data, (x,), vjp)
 
 
-def relu(x) -> Tensor:
-    x = _wrap(x)
-
-    def vjp(g):
-        return (g * (x.data > 0.0),)
-
-    return _result(np.maximum(x.data, 0.0), (x,), vjp)
-
-
-def sqrt(x) -> Tensor:
-    """Elementwise square root; negative round-off above -1e-9 clamps to 0."""
-    x = _wrap(x)
-    lo = x.data.min() if x.data.size else 0.0
-    if lo < -_SQRT_SLACK:
-        raise DomainError(f"sqrt of negative value {lo}")
-    y = np.sqrt(np.maximum(x.data, 0.0))
-
-    def vjp(g):
-        # subgradient 0 at the clamp point
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = g / (2.0 * y)
-        return (np.where(y > 0.0, out, 0.0),)
-
-    return _result(y, (x,), vjp)
-
-
-def log(x) -> Tensor:
-    x = _wrap(x)
-    if x.data.size and x.data.min() <= 0.0:
-        raise DomainError(f"log of non-positive value {x.data.min()}")
-
-    def vjp(g):
-        return (g / x.data,)
-
-    return _result(np.log(x.data), (x,), vjp)
-
-
 def sum_all(x) -> Tensor:
     x = _wrap(x)
 
@@ -267,16 +200,6 @@ def sum_all(x) -> Tensor:
         return (np.full(x.shape, float(g)),)
 
     return _result(x.data.sum(), (x,), vjp)
-
-
-def mean_all(x) -> Tensor:
-    x = _wrap(x)
-    n = max(x.size, 1)
-
-    def vjp(g):
-        return (np.full(x.shape, float(g) / n),)
-
-    return _result(x.data.mean() if x.size else 0.0, (x,), vjp)
 
 
 def softmax_rows(x) -> Tensor:
@@ -290,21 +213,6 @@ def softmax_rows(x) -> Tensor:
         return (s * (g - (g * s).sum(axis=1, keepdims=True)),)
 
     return _result(s, (x,), vjp)
-
-
-def pairwise_sqdist(a, b) -> Tensor:
-    """Taped :func:`sqdist`: out[i, j] = ||a_i - b_j||^2."""
-    a, b = _wrap(a), _wrap(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[1]:
-        raise ShapeError(f"pairwise_sqdist: shapes {a.shape} and {b.shape} do not conform")
-    d = sqdist(a.data, b.data)
-
-    def vjp(g):
-        ga = 2.0 * (a.data * g.sum(axis=1)[:, None] - g @ b.data)
-        gb = 2.0 * (b.data * g.sum(axis=0)[:, None] - g.T @ a.data)
-        return ga, gb
-
-    return _result(d, (a, b), vjp)
 
 
 def take_rows(x, start: int, stop: int) -> Tensor:

@@ -29,7 +29,7 @@ from .featnet import DEFAULT_FEATURE_DIM, DEFAULT_HIDDEN_DIMS, FeatureNet, Linea
 from .infer import FeatureCache, InferenceMode, build_cache, predict
 from .metrics import compute_metric
 from .nwhead import cross_entropy, nw_predict, onehot
-from .optim import make_optimizer
+from .optim import OPTIMIZERS, make_optimizer
 from .rng import Rng
 from .support import (
     SupportSpec,
@@ -38,7 +38,7 @@ from .support import (
     sample_query_batch,
     sample_support,
 )
-from .tensor import Tape, Tensor, backward, mul, scale, sub, sum_all, take_rows
+from .tensor import Tape, Tensor, add, backward, mul, scale, sub, sum_all, take_rows
 
 log = logging.getLogger(__name__)
 
@@ -103,8 +103,6 @@ class TrainConfig:
     eval_every: int = 100  # steps; an evaluation also runs at each epoch end
     hidden_dims: tuple[int, ...] = DEFAULT_HIDDEN_DIMS
     feature_dim: int = DEFAULT_FEATURE_DIM
-    lr_decay_gamma: float = 1.0  # optional step decay: lr *= gamma ...
-    lr_decay_every: int = 0      # ... every this many epochs (0 = off)
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -113,8 +111,14 @@ class TrainConfig:
             raise ConfigError(f"lambda_ must be positive for {self.variant}, got {self.lambda_}")
         if self.n_q < 1 or self.n_c < 1:
             raise ConfigError(f"n_q and n_c must be >= 1, got {self.n_q}, {self.n_c}")
-        if self.max_epochs < 0:
-            raise ConfigError(f"max_epochs must be >= 0, got {self.max_epochs}")
+        if self.max_epochs < 0 or self.eval_every < 0:
+            raise ConfigError(f"max_epochs and eval_every must be >= 0, got {self.max_epochs}, {self.eval_every}")
+        if self.optimizer not in OPTIMIZERS:
+            raise ConfigError(f"unknown optimizer {self.optimizer!r}; choose from {tuple(OPTIMIZERS)}")
+        if self.lr <= 0:
+            raise ConfigError(f"lr must be positive, got {self.lr}")
+        if min(self.hidden_dims, default=1) < 1 or self.feature_dim < 1:
+            raise ConfigError(f"hidden_dims and feature_dim must be >= 1, got {self.hidden_dims}, {self.feature_dim}")
 
 
 @dataclass
@@ -196,7 +200,7 @@ def loss_explicit(net: FeatureNet, query_batch, ds: Dataset, n_c: int, lambda_: 
     qx, labels, q_onehot = _query_arrays(ds, query_batch)
     support_a, support_b = sample_env_pair(ds, n_c, labels, rng)
     pa, penalty = _prediction_gap(net, qx, support_a, support_b)
-    return cross_entropy(pa, q_onehot) + scale(penalty, lambda_), penalty
+    return add(cross_entropy(pa, q_onehot), scale(penalty, lambda_)), penalty
 
 
 def _evaluate(row: Variant, net: FeatureNet, head: LinearHead | None,
@@ -244,8 +248,6 @@ def train(ds_train: Dataset, ds_val_ood: Dataset, cfg: TrainConfig, metric: str 
             best_snapshot = [p.data.copy() for p in params]
 
     for epoch in range(cfg.max_epochs):
-        if cfg.lr_decay_every and epoch and epoch % cfg.lr_decay_every == 0:
-            opt.lr *= cfg.lr_decay_gamma
         env_cycle = r_env.permutation(np.array(ds_train.env_ids))
         losses, penalties = [], []
         for step in range(steps_per_epoch):
@@ -262,11 +264,6 @@ def train(ds_train: Dataset, ds_val_ood: Dataset, cfg: TrainConfig, metric: str 
                 raise TrainingDiverged(
                     f"non-finite loss at step {global_step} (epoch {epoch}): {exc}"
                 ) from exc
-            if not np.isfinite(loss_val):
-                grad_norms = {i: float(np.linalg.norm(g.data)) for i, g in enumerate(grads.values())}
-                raise TrainingDiverged(
-                    f"non-finite loss {loss_val} at step {global_step}; grad norms {grad_norms}"
-                )
             opt.step(params, grads)
             losses.append(loss_val)
             penalties.append(0.0 if penalty is None else penalty.item())

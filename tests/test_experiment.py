@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -49,6 +50,11 @@ def test_config_validation(tmp_path):
         tiny_experiment(tmp_path, modes=("knn:x",))
     with pytest.raises(ConfigError):
         tiny_experiment(tmp_path, modes=("bogus",))
+    # bad training values fail at configuration, not once per seed
+    for bad in (dict(optimizer="rmsprop"), dict(lr=-1.0), dict(eval_every=-3),
+                dict(feature_dim=0), dict(hidden_dims=(0,))):
+        with pytest.raises(ConfigError):
+            TrainConfig(**bad)
 
 
 def test_parse_mode():
@@ -133,6 +139,21 @@ def test_config_file_round_trip(tmp_path):
 def test_unknown_config_key_rejected():
     with pytest.raises(ConfigError):
         config_from_flat_dict({"warp_speed": "9"})
+
+
+def test_flat_config_keys_cover_every_config_field():
+    exp_fields = [f.name for f in dataclasses.fields(ExperimentConfig) if f.name != "train"]
+    train_fields = ["lambda" if f.name == "lambda_" else f.name for f in dataclasses.fields(TrainConfig)]
+    assert sorted(config_to_flat_dict(ExperimentConfig())) == sorted(exp_fields + train_fields)
+
+
+def test_cli_train_rejects_bad_training_values_before_any_seed(tmp_path):
+    cfg_file = tmp_path / "exp.cfg"
+    out = tmp_path / "run"
+    cfg_file.write_text("data = spurious\noptimizer = rmsprop\nn_seeds = 2\nmax_epochs = 1\n")
+    code = cli_main(["train", "--config", str(cfg_file), "--out", str(out)])
+    assert code == 1
+    assert not list(out.glob("seed_*"))
 
 
 def test_cli_gen_data_and_summarize(tmp_path, capsys):

@@ -19,7 +19,8 @@ from nwlearn.infer import (
 from nwlearn.kmeans import kmeans
 from nwlearn.nwhead import _VOTE_BLOCK, nw_predict, nw_vote, nw_vote_shared, onehot
 from nwlearn.support import SupportBatch
-from nwlearn.tensor import Tensor, pairwise_sqdist, sqdist
+from nwlearn.tensor import Tensor, sqdist
+from taped_ops import pairwise_sqdist
 
 
 def nw_head(q, feats, labels, n_classes):

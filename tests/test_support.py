@@ -86,13 +86,6 @@ def test_unbalanced_covers_every_class_then_fills():
     assert len(np.unique(batch.source_indices)) == len(batch)
 
 
-def test_subsample_classes_widens_to_query_labels():
-    ds = make_dataset(np.random.default_rng(6), n_classes=4)
-    spec = SupportSpec(balanced=True, n_per_class=2, subsample_classes=(0,))
-    batch = sample_support(ds, spec, {2}, Rng(8))
-    assert sorted(set(batch.labels.tolist())) == [0, 2]
-
-
 def test_balanced_support_label_distribution_is_uniform():
     ds = make_dataset(np.random.default_rng(7), n=300)
     batch = sample_support(ds, SupportSpec(balanced=True, n_per_class=50), {0}, Rng(9))

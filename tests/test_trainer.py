@@ -5,7 +5,7 @@ import pytest
 
 from nwlearn import Rng, grad_check
 from nwlearn.data import Dataset, LabeledExample
-from nwlearn.errors import ConfigError
+from nwlearn.errors import ConfigError, TrainingDiverged
 from nwlearn.featnet import FeatureNet, LinearHead
 from nwlearn.infer import InferenceMode, build_cache, knn_predict, predict
 from nwlearn.metrics import compute_metric
@@ -205,6 +205,16 @@ def test_train_is_deterministic():
     assert report_a == report_b
     for a, b in zip(model_a.parameters(), model_b.parameters()):
         assert (a.data == b.data).all()
+
+
+def test_training_diverged_names_the_step_and_epoch():
+    ds = toy_dataset(seed=43)
+    val = Dataset([LabeledExample(x=ex.x, y=ex.y, e=5) for ex in toy_dataset(seed=44).examples], 2)
+    cfg = TrainConfig(variant="nw_implicit", lr=1e150, max_epochs=1, seed=45, eval_every=0,
+                      hidden_dims=(8,), feature_dim=4)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingDiverged) as info:
+        train(ds, val, cfg)
+    assert "non-finite loss at step 1 (epoch 0)" in str(info.value)
 
 
 def test_train_rejects_overlapping_val_envs():
