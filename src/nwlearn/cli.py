@@ -15,19 +15,18 @@ from pathlib import Path
 
 from .errors import NwError
 from .experiment import (
+    PREVALENCES,
     ExperimentConfig,
     aggregate_records,
     config_from_flat_dict,
     load_experiment_data,
     parse_config_file,
-    parse_mode,
     run_experiment,
     run_prevalence_sweep,
+    score_modes,
 )
-from .infer import build_cache, dump_neighbors, predict, train_probe
+from .infer import build_cache, dump_neighbors
 from .io import load_checkpoint, load_csv, save_csv
-from .metrics import compute_metric
-from .rng import Rng
 
 log = logging.getLogger(__name__)
 
@@ -40,11 +39,8 @@ def _build_config(args) -> ExperimentConfig:
     values = {}
     if args.config:
         values.update(parse_config_file(args.config))
-    for key, attr in (("seed", "seed"), ("out_dir", "out")):
-        if getattr(args, attr, None) is not None:
-            values[key] = str(getattr(args, attr))
-    for key in ("variant", "metric", "modes", "n_seeds", "max_epochs", "data", "flip_ood"):
-        value = getattr(args, key.replace("-", "_"), None)
+    for key in ("seed", "out_dir", "variant", "metric", "modes", "n_seeds", "max_epochs", "data", "flip_ood"):
+        value = getattr(args, "out" if key == "out_dir" else key, None)
         if value is not None:
             values[key] = str(value)
     return config_from_flat_dict(values)
@@ -62,15 +58,25 @@ def _cmd_gen_data(args) -> int:
     return EXIT_OK
 
 
+def _print_table(aggregate):
+    print(f"{'mode':>24}  {'mean':>8}  {'std':>8}  seeds")
+    for mode, stats in aggregate.items():
+        print(f"{mode:>24}  {stats['mean']:8.4f}  {stats['std']:8.4f}  {stats['n_seeds']}")
+
+
+def _report(result) -> int:
+    """Print a run's table and each failed seed (on stderr); return the exit code."""
+    _print_table(result.aggregate)
+    for failure in result.failures:
+        print(f"seed {failure['seed']} FAILED: {failure['error']}", file=sys.stderr)
+    return EXIT_PARTIAL if result.failures else EXIT_OK
+
+
 def _cmd_train(args) -> int:
     cfg = _build_config(args)
     result = run_experiment(cfg)
-    _print_aggregate(cfg, result.aggregate)
-    if result.failures:
-        for failure in result.failures:
-            print(f"seed {failure['seed']} FAILED: {failure['error']}", file=sys.stderr)
-        return EXIT_PARTIAL
-    return EXIT_OK
+    print(f"variant {cfg.train.variant}, metric {cfg.metric}, {cfg.n_seeds} seed(s)")
+    return _report(result)
 
 
 def _load_eval_data(args, cfg):
@@ -86,16 +92,10 @@ def _cmd_eval(args) -> int:
     cfg = _build_config(args)
     net, probe, metadata = load_checkpoint(args.checkpoint)
     train_ds, test_ds = _load_eval_data(args, cfg)
-    cache = build_cache(net, train_ds)
-    query_feats = net.extract(test_ds.X).data
     print(f"checkpoint metadata: {json.dumps(metadata, sort_keys=True)}")
-    for label in cfg.modes:
-        mode = parse_mode(label)
-        head = probe if mode.kind == "probe" and probe is not None else None
-        if mode.kind == "probe" and head is None:
-            head = train_probe(cache)
-        probs = predict(mode, cache, query_feats, rng=Rng(cfg.data_seed), probe=head)
-        value = compute_metric(probs, test_ds.y, test_ds.e, cfg.metric)
+    values = score_modes(net, train_ds, test_ds, cfg.modes, cfg.metric,
+                         metadata.get("seed", cfg.train.seed), probe=probe)
+    for label, value in values.items():
         print(f"{label:>12}: {cfg.metric} = {value:.4f}  (n={len(test_ds)})")
     return EXIT_OK
 
@@ -130,17 +130,8 @@ def _cmd_neighbors(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _build_config(args)
-    if args.prevalences:
-        prevalences = tuple(float(p) for p in args.prevalences.split(","))
-    else:
-        prevalences = (0.15, 0.3, 0.5, 0.7, 0.85)
-    result = run_prevalence_sweep(cfg, prevalences=prevalences)
-    print(f"{'point':>24}  {'mean':>8}  {'std':>8}  seeds")
-    for mode, stats in result.aggregate.items():
-        print(f"{mode:>24}  {stats['mean']:8.4f}  {stats['std']:8.4f}  {stats['n_seeds']}")
-    if result.failures:
-        return EXIT_PARTIAL
-    return EXIT_OK
+    prevalences = tuple(float(p) for p in args.prevalences.split(",")) if args.prevalences else PREVALENCES
+    return _report(run_prevalence_sweep(cfg, prevalences=prevalences))
 
 
 def _cmd_summarize(args) -> int:
@@ -155,20 +146,10 @@ def _cmd_summarize(args) -> int:
     if not records:
         print(f"no metrics records under {root}", file=sys.stderr)
         return EXIT_ERROR
-    aggregate = aggregate_records(records)
     metric_names = sorted({r["metric_name"] for r in records})
     print(f"{len(records)} records, metrics {metric_names}")
-    print(f"{'mode':>24}  {'mean':>8}  {'std':>8}  seeds")
-    for mode, stats in aggregate.items():
-        print(f"{mode:>24}  {stats['mean']:8.4f}  {stats['std']:8.4f}  {stats['n_seeds']}")
+    _print_table(aggregate_records(records))
     return EXIT_OK
-
-
-def _print_aggregate(cfg, aggregate):
-    print(f"variant {cfg.train.variant}, metric {cfg.metric}, {cfg.n_seeds} seed(s)")
-    print(f"{'mode':>12}  {'mean':>8}  {'std':>8}")
-    for mode, stats in aggregate.items():
-        print(f"{mode:>12}  {stats['mean']:8.4f}  {stats['std']:8.4f}")
 
 
 def build_parser() -> argparse.ArgumentParser:

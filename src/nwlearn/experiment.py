@@ -12,6 +12,7 @@ import dataclasses
 import json
 import logging
 import traceback
+import typing
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -30,6 +31,7 @@ from .trainer import VARIANTS, TrainConfig, train
 log = logging.getLogger(__name__)
 
 DATA_SOURCES = ("spurious", "imbalanced", "csv")
+PREVALENCES = (0.15, 0.3, 0.5, 0.7, 0.85)  # the sweep's test-set prevalences of its class
 
 
 @dataclass
@@ -61,6 +63,8 @@ class ExperimentConfig:
             raise ConfigError(f"metric must be one of {METRICS}, got {self.metric!r}")
         if self.data == "csv" and not (self.csv_train and self.csv_val and self.csv_test):
             raise ConfigError("csv data source needs csv_train, csv_val and csv_test paths")
+        if len(set(self.modes)) < len(self.modes):
+            raise ConfigError(f"mode labels must be distinct, got {self.modes}")
         for label in self.modes:
             parse_mode(label)
 
@@ -85,10 +89,6 @@ def load_experiment_data(cfg: ExperimentConfig) -> tuple[Dataset, Dataset, Datas
     return load_csv(cfg.csv_train), load_csv(cfg.csv_val), load_csv(cfg.csv_test)
 
 
-def _timestamp() -> str:
-    return datetime.now(timezone.utc).isoformat()
-
-
 def _metric_record(seed: int, mode: str, metric: str, value: float, n: int) -> dict:
     return {
         "seed": seed,
@@ -96,25 +96,24 @@ def _metric_record(seed: int, mode: str, metric: str, value: float, n: int) -> d
         "metric_name": metric,
         "value": value,
         "n_examples": n,
-        "timestamp": _timestamp(),
+        "timestamp": datetime.now(timezone.utc).isoformat(),
     }
 
 
-def evaluate_modes(model, variant: str, ds_train: Dataset, ds_test: Dataset,
-                   modes, metric: str, seed: int) -> dict[str, float]:
-    """Evaluate the trained model under every requested inference mode."""
+def score_modes(net, ds_train: Dataset, ds_test: Dataset, modes, metric: str, seed: int,
+                probe=None) -> dict[str, float]:
+    """``{label: metric}`` of ``net``'s NW vote over ``ds_train`` on
+    ``ds_test`` under every mode label. Label i draws from child i of
+    ``Rng(seed).split(len(modes))``; ``probe`` mode uses ``probe``, or else
+    a head from ``train_probe``."""
+    cache = build_cache(net, ds_train)
+    query_feats = net.extract(ds_test.X).data
     values: dict[str, float] = {}
-    if VARIANTS[variant].selection is None:
-        probs = model.predict_probs(ds_test.X)
-        values["parametric"] = compute_metric(probs, ds_test.y, ds_test.e, metric)
-        return values
-    cache = build_cache(model, ds_train)
-    query_feats = model.extract(ds_test.X).data
-    rngs = dict(zip([m for m in modes], Rng(seed).split(len(list(modes)))))
-    for label in modes:
+    for label, rng in zip(modes, Rng(seed).split(len(modes))):
         mode = parse_mode(label)
-        probe = train_probe(cache) if mode.kind == "probe" else None
-        probs = predict(mode, cache, query_feats, rng=rngs[label], probe=probe)
+        if mode.kind == "probe" and probe is None:
+            probe = train_probe(cache)
+        probs = predict(mode, cache, query_feats, rng=rng, probe=probe)
         values[label] = compute_metric(probs, ds_test.y, ds_test.e, metric)
     return values
 
@@ -145,6 +144,36 @@ class ExperimentResult:
         return not self.failures
 
 
+def _run_seeds(cfg: ExperimentConfig, run_seed, records_name: str, summary_name: str) -> ExperimentResult:
+    """Call ``run_seed(seed)`` for each of the n_seeds training seeds and
+    write the records it returns to ``records_name`` (JSON lines) and
+    their aggregate to ``summary_name``. A seed that raises is recorded as
+    a failure and contributes no records; the remaining seeds still run."""
+    records: list[dict] = []
+    failures: list[dict] = []
+    for seed in range(cfg.train.seed, cfg.train.seed + cfg.n_seeds):
+        try:
+            records += run_seed(seed)
+        except Exception as exc:  # noqa: BLE001 - seed isolation is the contract
+            log.error("seed %d failed: %s", seed, exc)
+            failures.append({"seed": seed, "error": f"{type(exc).__name__}: {exc}",
+                             "traceback": traceback.format_exc()})
+
+    out = Path(cfg.out_dir)
+    with open(out / records_name, "w", encoding="utf-8") as fh:
+        for rec in records:
+            fh.write(json.dumps(rec) + "\n")
+    aggregate = aggregate_records(records)
+    summary = {
+        "config": config_to_flat_dict(cfg),
+        "aggregate": aggregate,
+        "failures": [{k: v for k, v in f.items() if k != "traceback"} for f in failures],
+    }
+    with open(out / summary_name, "w", encoding="utf-8") as fh:
+        json.dump(summary, fh, indent=2, sort_keys=True)
+    return ExperimentResult(records=records, aggregate=aggregate, failures=failures)
+
+
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Train n_seeds models, evaluate every mode on the OOD test set, and
     persist per-seed metrics, checkpoints and an aggregate summary.
@@ -155,62 +184,36 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ds_train, ds_val, ds_test = load_experiment_data(cfg)
+    parametric = VARIANTS[cfg.train.variant].support is None
 
-    records: list[dict] = []
-    failures: list[dict] = []
-    for i in range(cfg.n_seeds):
-        seed = cfg.train.seed + i
+    def run_seed(seed: int) -> list[dict]:
         seed_dir = out / f"seed_{seed}"
         seed_dir.mkdir(parents=True, exist_ok=True)
-        try:
-            train_cfg = dataclasses.replace(cfg.train, seed=seed)
-            model, report = train(ds_train, ds_val, train_cfg, metric=cfg.metric)
-            parametric = VARIANTS[cfg.train.variant].support is None
-            net, head = (model.net, model.head) if parametric else (model, None)
-            save_checkpoint(
-                seed_dir / "checkpoint.nwck",
-                net,
-                probe=head,
-                metadata={
-                    "seed": seed,
-                    "variant": cfg.train.variant,
-                    "selected_epoch": report.selected_epoch,
-                    "best_val_metric": report.best_val_metric,
-                },
-            )
-            with open(seed_dir / "curves.jsonl", "w", encoding="utf-8") as fh:
-                for ep in report.epochs:
-                    fh.write(json.dumps({
-                        "epoch": ep.epoch,
-                        "train_loss": ep.train_loss,
-                        "penalty": ep.penalty,
-                        "val_metric": ep.val_metric,
-                    }) + "\n")
-            values = evaluate_modes(model, cfg.train.variant, ds_train, ds_test,
-                                    cfg.modes, cfg.metric, seed)
-            for mode, value in values.items():
-                records.append(_metric_record(seed, mode, cfg.metric, value, len(ds_test)))
-        except Exception as exc:  # noqa: BLE001 - seed isolation is the contract
-            log.error("seed %d failed: %s", seed, exc)
-            failures.append({"seed": seed, "error": f"{type(exc).__name__}: {exc}",
-                             "traceback": traceback.format_exc()})
+        model, report = train(ds_train, ds_val, dataclasses.replace(cfg.train, seed=seed), metric=cfg.metric)
+        save_checkpoint(
+            seed_dir / "checkpoint.nwck",
+            model.net if parametric else model,
+            probe=model.head if parametric else None,
+            metadata={
+                "seed": seed,
+                "variant": cfg.train.variant,
+                "selected_epoch": report.selected_epoch,
+                "best_val_metric": report.best_val_metric,
+            },
+        )
+        with open(seed_dir / "curves.jsonl", "w", encoding="utf-8") as fh:
+            for ep in report.epochs:
+                fh.write(json.dumps(dataclasses.asdict(ep)) + "\n")
+        if parametric:
+            values = {"parametric": compute_metric(model.predict_probs(ds_test.X), ds_test.y, ds_test.e, cfg.metric)}
+        else:
+            values = score_modes(model, ds_train, ds_test, cfg.modes, cfg.metric, seed)
+        return [_metric_record(seed, mode, cfg.metric, value, len(ds_test)) for mode, value in values.items()]
 
-    with open(out / "metrics.jsonl", "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec) + "\n")
-    aggregate = aggregate_records(records)
-    summary = {
-        "config": config_to_flat_dict(cfg),
-        "aggregate": aggregate,
-        "failures": [{k: v for k, v in f.items() if k != "traceback"} for f in failures],
-    }
-    with open(out / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-    return ExperimentResult(records=records, aggregate=aggregate, failures=failures)
+    return _run_seeds(cfg, run_seed, "metrics.jsonl", "summary.json")
 
 
-def run_prevalence_sweep(cfg: ExperimentConfig, prevalences=(0.15, 0.3, 0.5, 0.7, 0.85),
-                         class_id: int = 0) -> ExperimentResult:
+def run_prevalence_sweep(cfg: ExperimentConfig, prevalences=PREVALENCES, class_id: int = 0) -> ExperimentResult:
     """Class-prevalence robustness sweep on the label-skewed benchmark.
 
     Trains the balanced and unbalanced NW variants per seed, then scores
@@ -218,61 +221,35 @@ def run_prevalence_sweep(cfg: ExperimentConfig, prevalences=(0.15, 0.3, 0.5, 0.7
     Each variant is tested on the support its ``trainer.VARIANTS`` row
     selects it on: ``nw_balanced`` on class-balanced ``full`` mode,
     ``nw_unbalanced`` on the unweighted vote over every training row (exact
-    ``knn`` at k = |cache|).
+    ``knn`` at k = |cache|). Writes ``sweep.jsonl`` and
+    ``sweep_summary.json``, shaped as ``run_experiment``'s files.
     """
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
     ds_train, ds_val, ds_test = load_experiment_data(cfg)
     base_prevalence = ds_test.class_counts()[class_id] / len(ds_test)
     usable = [p for p in prevalences if p <= base_prevalence + 1e-9]
     if len(usable) < len(prevalences):
         log.warning("dropping prevalences above the base %.3f: %s",
                     base_prevalence, sorted(set(prevalences) - set(usable)))
-
-    records: list[dict] = []
-    failures: list[dict] = []
     filter_rng = Rng(cfg.data_seed).child()
     filtered = {p: prevalence_filter(ds_test, class_id, p, filter_rng) for p in usable}
-    for i in range(cfg.n_seeds):
-        seed = cfg.train.seed + i
-        try:
-            for variant in ("nw_balanced", "nw_unbalanced"):
-                train_cfg = dataclasses.replace(cfg.train, variant=variant, seed=seed)
-                model, _ = train(ds_train, ds_val, train_cfg, metric=cfg.metric)
-                cache = build_cache(model, ds_train)
-                for p, ds_p in filtered.items():
-                    feats = model.extract(ds_p.X).data
-                    probs = predict(VARIANTS[variant].selection_mode(cache), cache, feats)
-                    value = compute_metric(probs, ds_p.y, ds_p.e, cfg.metric)
-                    records.append(_metric_record(seed, f"{variant}@{p}", cfg.metric,
-                                                  value, len(ds_p)))
-        except Exception as exc:  # noqa: BLE001
-            log.error("sweep seed %d failed: %s", seed, exc)
-            failures.append({"seed": seed, "error": f"{type(exc).__name__}: {exc}",
-                             "traceback": traceback.format_exc()})
 
-    with open(out / "sweep.jsonl", "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec) + "\n")
-    aggregate = aggregate_records(records)
-    with open(out / "sweep_summary.json", "w", encoding="utf-8") as fh:
-        json.dump({"aggregate": aggregate}, fh, indent=2, sort_keys=True)
-    return ExperimentResult(records=records, aggregate=aggregate, failures=failures)
+    def run_seed(seed: int) -> list[dict]:
+        records = []
+        for variant in ("nw_balanced", "nw_unbalanced"):
+            model, _ = train(ds_train, ds_val, dataclasses.replace(cfg.train, variant=variant, seed=seed),
+                             metric=cfg.metric)
+            cache = build_cache(model, ds_train)
+            for p, ds_p in filtered.items():
+                probs = predict(VARIANTS[variant].selection_mode(cache), cache, model.extract(ds_p.X).data)
+                value = compute_metric(probs, ds_p.y, ds_p.e, cfg.metric)
+                records.append(_metric_record(seed, f"{variant}@{p}", cfg.metric, value, len(ds_p)))
+        return records
+
+    return _run_seeds(cfg, run_seed, "sweep.jsonl", "sweep_summary.json")
 
 
 # -- flat key=value config files -------------------------------------------
-
-_EXPERIMENT_KEYS = {
-    "data": str, "flip_ood": bool, "n_train": int, "n_val": int, "n_test": int,
-    "majority_share": float, "csv_train": str, "csv_val": str, "csv_test": str,
-    "data_seed": int, "metric": str, "n_seeds": int, "out_dir": str,
-}
-_TRAIN_KEYS = {
-    "variant": str, "lambda": float, "n_q": int, "n_c": int, "lr": float,
-    "weight_decay": float, "optimizer": str, "max_epochs": int, "seed": int,
-    "eval_every": int, "feature_dim": int,
-}
-
 
 def parse_config_file(path) -> dict[str, str]:
     """Flat ``key = value`` lines; ``#`` starts a comment."""
@@ -288,46 +265,53 @@ def parse_config_file(path) -> dict[str, str]:
     return values
 
 
-def _coerce(value: str, target: type):
-    if target is bool:
+def _flat_keys() -> dict[str, tuple[type, str, object]]:
+    """Flat key -> (config class, field name, type) for every field of
+    ExperimentConfig but ``train`` and every field of TrainConfig; the
+    field ``lambda_`` is the key ``lambda``."""
+    return {
+        ("lambda" if name == "lambda_" else name): (owner, name, hint)
+        for owner in (ExperimentConfig, TrainConfig)
+        for name, hint in typing.get_type_hints(owner).items()
+        if name != "train"
+    }
+
+
+def _coerce(value: str, hint):
+    """Parse ``value`` as ``hint``: ``T | None`` as ``T`` and
+    ``tuple[T, ...]`` as comma-separated ``T`` values."""
+    args = [a for a in typing.get_args(hint) if a is not type(None)]
+    if typing.get_origin(hint) is tuple:
+        return tuple(_coerce(v.strip(), args[0]) for v in value.split(",") if v.strip())
+    if args:  # T | None
+        return _coerce(value, args[0])
+    if hint is bool:
         lowered = value.lower()
         if lowered in ("true", "1", "yes", "on"):
             return True
         if lowered in ("false", "0", "no", "off"):
             return False
         raise ConfigError(f"cannot parse boolean from {value!r}")
-    return target(value)
+    return hint(value)
 
 
 def config_from_flat_dict(values: dict[str, str]) -> ExperimentConfig:
     """Build an ExperimentConfig from flat string keys (file or CLI)."""
-    exp_kwargs = {}
-    train_kwargs = {}
+    keys = _flat_keys()
+    kwargs: dict[type, dict] = {ExperimentConfig: {}, TrainConfig: {}}
     for key, value in values.items():
-        if key == "modes":
-            exp_kwargs["modes"] = tuple(v.strip() for v in str(value).split(",") if v.strip())
-        elif key == "hidden_dims":
-            train_kwargs["hidden_dims"] = tuple(int(v) for v in str(value).split(",") if v.strip())
-        elif key in _EXPERIMENT_KEYS:
-            exp_kwargs[key] = _coerce(str(value), _EXPERIMENT_KEYS[key])
-        elif key in _TRAIN_KEYS:
-            name = "lambda_" if key == "lambda" else key
-            train_kwargs[name] = _coerce(str(value), _TRAIN_KEYS[key])
-        else:
+        if key not in keys:
             raise ConfigError(f"unknown config key {key!r}")
-    exp_kwargs["train"] = TrainConfig(**train_kwargs)
-    return ExperimentConfig(**exp_kwargs)
+        owner, name, hint = keys[key]
+        kwargs[owner][name] = _coerce(str(value), hint)
+    return ExperimentConfig(**kwargs[ExperimentConfig], train=TrainConfig(**kwargs[TrainConfig]))
 
 
 def config_to_flat_dict(cfg: ExperimentConfig) -> dict:
     flat = {}
-    for key in _EXPERIMENT_KEYS:
-        flat[key] = getattr(cfg, key)
-    flat["modes"] = ",".join(cfg.modes)
-    for key in _TRAIN_KEYS:
-        name = "lambda_" if key == "lambda" else key
-        flat[key] = getattr(cfg.train, name)
-    flat["hidden_dims"] = ",".join(str(d) for d in cfg.train.hidden_dims)
+    for key, (owner, name, _) in _flat_keys().items():
+        value = getattr(cfg if owner is ExperimentConfig else cfg.train, name)
+        flat[key] = ",".join(map(str, value)) if isinstance(value, tuple) else value
     return flat
 
 
@@ -337,10 +321,10 @@ __all__ = [
     "aggregate_records",
     "config_from_flat_dict",
     "config_to_flat_dict",
-    "evaluate_modes",
     "load_experiment_data",
     "parse_config_file",
     "parse_mode",
     "run_experiment",
     "run_prevalence_sweep",
+    "score_modes",
 ]

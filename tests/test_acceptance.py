@@ -15,11 +15,10 @@ import pytest
 from nwlearn import Rng, grad_check
 from nwlearn.data import Dataset, LabeledExample
 from nwlearn.errors import CoverageError
-from nwlearn.experiment import ExperimentConfig, run_experiment, run_prevalence_sweep
+from nwlearn.experiment import ExperimentConfig, run_experiment
 from nwlearn.featnet import FeatureNet
 from nwlearn.hnsw import HnswIndex
 from nwlearn.infer import FeatureCache, InferenceMode, build_cache, knn_predict, predict
-from nwlearn.kmeans import kmeans
 from nwlearn.metrics import compute_metric
 from nwlearn.nwhead import nw_predict, onehot
 from nwlearn.scmgen import (

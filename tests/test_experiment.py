@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import nwlearn.experiment
 from nwlearn.cli import main as cli_main
 from nwlearn.errors import ConfigError
 from nwlearn.experiment import (
@@ -14,8 +15,12 @@ from nwlearn.experiment import (
     parse_config_file,
     parse_mode,
     run_experiment,
+    run_prevalence_sweep,
 )
 from nwlearn.trainer import TrainConfig
+
+TINY_CFG = ("n_train = 240\nn_val = 60\nn_test = 120\nmax_epochs = 1\neval_every = 0\n"
+            "hidden_dims = 8\nfeature_dim = 4\n")
 
 
 def tiny_experiment(tmp_path, **overrides):
@@ -50,6 +55,9 @@ def test_config_validation(tmp_path):
         tiny_experiment(tmp_path, modes=("knn:x",))
     with pytest.raises(ConfigError):
         tiny_experiment(tmp_path, modes=("bogus",))
+    # mode label i draws rng child i, so a label may appear only once
+    with pytest.raises(ConfigError):
+        tiny_experiment(tmp_path, modes=("random", "random"))
     # bad training values fail at configuration, not once per seed
     for bad in (dict(optimizer="rmsprop"), dict(lr=-1.0), dict(eval_every=-3),
                 dict(feature_dim=0), dict(hidden_dims=(0,))):
@@ -156,6 +164,18 @@ def test_cli_train_rejects_bad_training_values_before_any_seed(tmp_path):
     assert not list(out.glob("seed_*"))
 
 
+def table_rows(text: str) -> list[tuple[str, str, str]]:
+    """(mode, mean, seeds) of each row below the table header in ``text``."""
+    lines = text.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.split()[:1] == ["mode"]) + 1
+    return [(parts[0], parts[1], parts[3]) for parts in (line.split() for line in lines[start:])]
+
+
+def summary_rows(path) -> list[tuple[str, str, str]]:
+    aggregate = json.loads(path.read_text())["aggregate"]
+    return [(mode, f"{s['mean']:.4f}", str(s["n_seeds"])) for mode, s in aggregate.items()]
+
+
 def test_cli_gen_data_and_summarize(tmp_path, capsys):
     out = tmp_path / "data"
     code = cli_main(["gen-data", "--out", str(out), "--seed", "0"])
@@ -167,6 +187,76 @@ def test_cli_gen_data_and_summarize(tmp_path, capsys):
     from nwlearn.io import load_csv
     ds = load_csv(out / "train.csv")
     assert ds.input_dim == 16
+
+    for command, extra, summary, n_rows in (("train", "modes = full, random\n", "summary.json", 2),
+                                            ("sweep", "data = imbalanced\n", "sweep_summary.json", 10)):
+        cfg_file = tmp_path / f"{command}.cfg"
+        cfg_file.write_text(TINY_CFG + "n_seeds = 2\n" + extra)
+        run = tmp_path / command
+        assert cli_main([command, "--config", str(cfg_file), "--out", str(run)]) == 0
+        capsys.readouterr()
+        assert cli_main(["summarize", "--dir", str(run)]) == 0
+        rows = table_rows(capsys.readouterr().out)
+        assert rows == summary_rows(run / summary)
+        assert len(rows) == n_rows and all(seeds == "2" for _, _, seeds in rows)
+
+
+def test_cli_sweep_writes_ten_points_per_seed(tmp_path, capsys):
+    cfg_file = tmp_path / "sweep.cfg"
+    out = tmp_path / "sweep"
+    cfg_file.write_text(TINY_CFG + "n_seeds = 2\ndata = imbalanced\n")
+    assert cli_main(["sweep", "--config", str(cfg_file), "--out", str(out)]) == 0
+    records = [json.loads(line) for line in (out / "sweep.jsonl").read_text().splitlines()]
+    for seed in (0, 1):
+        modes = sorted(r["mode"] for r in records if r["seed"] == seed)
+        assert modes == sorted(f"{v}@{p}" for v in ("nw_balanced", "nw_unbalanced")
+                               for p in (0.15, 0.3, 0.5, 0.7, 0.85))
+    summary = json.loads((out / "sweep_summary.json").read_text())
+    assert sorted(summary) == ["aggregate", "config", "failures"]
+    assert summary["failures"] == []
+    assert table_rows(capsys.readouterr().out) == summary_rows(out / "sweep_summary.json")
+
+
+def test_failed_sweep_seed_contributes_no_records(tmp_path, monkeypatch, capsys):
+    train = nwlearn.experiment.train
+
+    def failing_train(ds_train, ds_val, cfg, **kwargs):
+        if cfg.seed == 1 and cfg.variant == "nw_unbalanced":
+            raise RuntimeError("injected failure")
+        return train(ds_train, ds_val, cfg, **kwargs)
+
+    monkeypatch.setattr(nwlearn.experiment, "train", failing_train)
+    cfg = tiny_experiment(tmp_path, data="imbalanced", n_seeds=2)
+    result = run_prevalence_sweep(cfg)
+    assert {r["seed"] for r in result.records} == {0}
+    assert len(result.records) == 10
+    assert all(stats["n_seeds"] == 1 for stats in result.aggregate.values())
+    assert [f["seed"] for f in result.failures] == [1]
+    summary = json.loads((tmp_path / "run" / "sweep_summary.json").read_text())
+    assert summary["failures"] == [{"seed": 1, "error": "RuntimeError: injected failure"}]
+
+    cfg_file = tmp_path / "sweep.cfg"
+    cfg_file.write_text(TINY_CFG + "n_seeds = 2\ndata = imbalanced\n")
+    capsys.readouterr()
+    assert cli_main(["sweep", "--config", str(cfg_file), "--out", str(tmp_path / "cli")]) == 3
+    assert "seed 1 FAILED: RuntimeError: injected failure" in capsys.readouterr().err
+
+
+def test_cli_eval_reproduces_each_seeds_records(tmp_path, capsys):
+    cfg_file = tmp_path / "exp.cfg"
+    out = tmp_path / "run"
+    cfg_file.write_text(TINY_CFG + "n_seeds = 2\nmodes = full, random\n")
+    assert cli_main(["train", "--config", str(cfg_file), "--out", str(out)]) == 0
+    records = [json.loads(line) for line in (out / "metrics.jsonl").read_text().splitlines()]
+    for seed in (0, 1):
+        capsys.readouterr()
+        ckpt = out / f"seed_{seed}" / "checkpoint.nwck"
+        assert cli_main(["eval", "--config", str(cfg_file), "--checkpoint", str(ckpt)]) == 0
+        printed = {}
+        for line in capsys.readouterr().out.splitlines()[1:]:
+            label, _, rest = line.partition(": ")
+            printed[label.strip()] = rest.split()[2]
+        assert printed == {r["mode"]: f"{r['value']:.4f}" for r in records if r["seed"] == seed}
 
 
 def test_cli_train_eval_cycle(tmp_path):

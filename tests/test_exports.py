@@ -12,9 +12,8 @@ def test_every_exported_name_resolves_on_the_package():
 
 def test_every_import_in_the_package_is_used():
     unused = []
-    for path in sorted(Path(nwlearn.__file__).parent.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
+    package = sorted(p for p in Path(nwlearn.__file__).parent.glob("*.py") if p.name != "__init__.py")
+    for path in package + sorted(Path(__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         imported = {}
         for node in ast.walk(tree):
