@@ -135,20 +135,23 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_summarize(args) -> int:
-    records = []
+    """Aggregate each records file on its own; a file in a subdirectory
+    labels its rows ``{subdirectory relative to --dir}/{mode}``."""
+    records, table = [], {}
     root = Path(args.dir)
     for path in sorted(root.glob("**/*.jsonl")):
         if path.name in ("metrics.jsonl", "sweep.jsonl"):
             with open(path, encoding="utf-8") as fh:
-                for line in fh:
-                    if line.strip():
-                        records.append(json.loads(line))
+                run = [json.loads(line) for line in fh if line.strip()]
+            prefix = "" if path.parent == root else f"{path.parent.relative_to(root).as_posix()}/"
+            table.update((prefix + mode, stats) for mode, stats in aggregate_records(run).items())
+            records += run
     if not records:
         print(f"no metrics records under {root}", file=sys.stderr)
         return EXIT_ERROR
     metric_names = sorted({r["metric_name"] for r in records})
     print(f"{len(records)} records, metrics {metric_names}")
-    _print_table(aggregate_records(records))
+    _print_table(table)
     return EXIT_OK
 
 

@@ -144,11 +144,13 @@ class ExperimentResult:
         return not self.failures
 
 
-def _run_seeds(cfg: ExperimentConfig, run_seed, records_name: str, summary_name: str) -> ExperimentResult:
+def _run_seeds(cfg: ExperimentConfig, run_seed, records_name: str, summary_name: str,
+               unused_keys=()) -> ExperimentResult:
     """Call ``run_seed(seed)`` for each of the n_seeds training seeds and
     write the records it returns to ``records_name`` (JSON lines) and
-    their aggregate to ``summary_name``. A seed that raises is recorded as
-    a failure and contributes no records; the remaining seeds still run."""
+    their aggregate to ``summary_name``, whose config leaves out
+    ``unused_keys``. A seed that raises is recorded as a failure and
+    contributes no records; the remaining seeds still run."""
     records: list[dict] = []
     failures: list[dict] = []
     for seed in range(cfg.train.seed, cfg.train.seed + cfg.n_seeds):
@@ -165,7 +167,7 @@ def _run_seeds(cfg: ExperimentConfig, run_seed, records_name: str, summary_name:
             fh.write(json.dumps(rec) + "\n")
     aggregate = aggregate_records(records)
     summary = {
-        "config": config_to_flat_dict(cfg),
+        "config": {k: v for k, v in config_to_flat_dict(cfg).items() if k not in unused_keys},
         "aggregate": aggregate,
         "failures": [{k: v for k, v in f.items() if k != "traceback"} for f in failures],
     }
@@ -222,7 +224,9 @@ def run_prevalence_sweep(cfg: ExperimentConfig, prevalences=PREVALENCES, class_i
     selects it on: ``nw_balanced`` on class-balanced ``full`` mode,
     ``nw_unbalanced`` on the unweighted vote over every training row (exact
     ``knn`` at k = |cache|). Writes ``sweep.jsonl`` and
-    ``sweep_summary.json``, shaped as ``run_experiment``'s files.
+    ``sweep_summary.json``, shaped as ``run_experiment``'s files; the
+    summary's config leaves out ``variant`` and ``modes``, which the sweep
+    does not read.
     """
     Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
     ds_train, ds_val, ds_test = load_experiment_data(cfg)
@@ -246,7 +250,7 @@ def run_prevalence_sweep(cfg: ExperimentConfig, prevalences=PREVALENCES, class_i
                 records.append(_metric_record(seed, f"{variant}@{p}", cfg.metric, value, len(ds_p)))
         return records
 
-    return _run_seeds(cfg, run_seed, "sweep.jsonl", "sweep_summary.json")
+    return _run_seeds(cfg, run_seed, "sweep.jsonl", "sweep_summary.json", unused_keys=("variant", "modes"))
 
 
 # -- flat key=value config files -------------------------------------------

@@ -2,16 +2,19 @@
 
 All modes precompute training features once into a FeatureCache and then
 apply an NW vote with differently assembled supports: Random (k per
-class), Full (entire training set, class-balanced by per-class weights),
-Ensemble (average of per-environment predictions), Cluster (per-class
-k-means centroids), exact k-NN and HNSW, plus a linear probe trained on
-the frozen features. Supports shared by every query (Random, Full,
+class, drawn by the training sampler ``support.sample_support``), Full
+(entire training set, class-balanced by per-class weights), Ensemble
+(average of per-environment predictions), Cluster (per-class k-means
+centroids), exact k-NN and HNSW, plus a linear probe trained on the
+frozen features. Supports shared by every query (Random, Full,
 Ensemble, Cluster, and exact k-NN at k = |cache|) vote through the
 row-blocked ``nwhead.nw_vote_shared``; k-NN and HNSW, whose support
 differs by query, through ``nwhead.nw_vote``. Exact k-NN at k = |cache|
 is the unweighted vote over every training row, the support
 ``nw_unbalanced`` is selected and tested on; the other NW variants are
-selected on Full.
+selected on Full. Random, Full and Cluster take their class buckets from
+``support._class_bucket``, so an empty class raises the sampler's
+``CoverageError``.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .kmeans import kmeans
 from .nwhead import cross_entropy, nw_vote, nw_vote_shared, onehot
 from .optim import Adam
 from .rng import Rng
+from .support import SupportSpec, _class_bucket, sample_support
 from .tensor import Tape, backward, smallest_k, sqdist
 
 log = logging.getLogger(__name__)
@@ -61,7 +65,6 @@ class FeatureCache(Dataset):
     features = property(lambda self: self.X)
     labels = property(lambda self: self.y)
     envs = property(lambda self: self.e)
-    indices = property(lambda self: np.arange(len(self)))
 
 
 def build_cache(net: FeatureNet, ds_train: Dataset) -> FeatureCache:
@@ -70,72 +73,51 @@ def build_cache(net: FeatureNet, ds_train: Dataset) -> FeatureCache:
     return FeatureCache.like(ds_train, net.extract(ds_train.X).data)
 
 
-def _balanced_weights(buckets: dict[int, np.ndarray], require_all: bool) -> np.ndarray:
+def _balanced_weights(buckets) -> np.ndarray:
     """Class-balance by weighting every row of class c at max_count/count_c.
 
     The exact fractional form of duplicating minority rows up to the
     majority count: every datapoint participates, the vote is unchanged
     when counts already match, and the result cannot depend on row order.
-    ``buckets`` maps every class 0..C-1 to its rows; returns the (C,)
-    per-class weights, 0 for a class without rows.
+    ``buckets`` holds the rows of each class 0..C-1 in order; returns the
+    (C,) per-class weights, 0 for a class without rows.
     """
-    sizes = {c: len(b) for c, b in buckets.items()}
-    populated = [c for c, n in sizes.items() if n]
-    if not populated:
-        raise CoverageError("no populated class buckets to balance")
-    if require_all:
-        for c, n in sorted(sizes.items()):
-            if n == 0:
-                raise CoverageError(f"no examples of class {c} in cache", class_id=c)
-    target = max(sizes[c] for c in populated)
-    return np.array([target / sizes[c] if sizes[c] else 0.0 for c in sorted(sizes)])
+    sizes = [len(b) for b in buckets]
+    target = max(sizes)
+    return np.array([target / n if n else 0.0 for n in sizes])
 
 
 def predict(mode: InferenceMode, cache: FeatureCache, query_feats, rng: Rng | None = None,
-            probe: LinearHead | None = None, index: HnswIndex | None = None) -> np.ndarray:
+            probe: LinearHead | None = None) -> np.ndarray:
     """Per-query class simplices under the requested inference mode."""
     q = np.atleast_2d(np.asarray(query_feats, dtype=np.float64))
     rng = rng if rng is not None else Rng(0)
+    classes = range(cache.n_classes)
 
     if mode.kind == "random":
-        parts = []
-        for c, bucket in sorted(cache.by_class.items()):
-            if len(bucket) == 0:
-                raise CoverageError(f"no examples of class {c} in cache", class_id=c)
-            replace = len(bucket) < mode.k
-            if replace:
-                log.warning("class %d has %d cached rows; drawing %d with replacement", c, len(bucket), mode.k)
-            parts.append(rng.choice(bucket, size=mode.k, replace=replace))
-        idx = np.concatenate(parts)
-        return nw_vote_shared(q, cache.features[idx], onehot(cache.labels[idx], cache.n_classes))
+        s = sample_support(cache, SupportSpec(n_per_class=mode.k), (), rng)
+        return nw_vote_shared(q, s.features, s.onehot_labels)
 
     if mode.kind == "full":
-        weights = _balanced_weights(cache.by_class, require_all=True)
+        weights = _balanced_weights([_class_bucket(cache, None, c) for c in classes])
         return nw_vote_shared(q, cache.features, onehot(cache.labels, cache.n_classes), weights)
 
     if mode.kind == "ensemble":
         per_env = []
         for env in cache.env_ids:
-            buckets = {c: cache.by_env_class[(env, c)] for c in range(cache.n_classes)}
-            missing = [c for c, b in buckets.items() if len(b) == 0]
-            if len(missing) == cache.n_classes:
-                log.warning("environment %s has no cached rows; skipping", env)
-                continue
+            buckets = [cache.by_env_class[(env, c)] for c in classes]
+            missing = [c for c in classes if len(buckets[c]) == 0]
             if missing:
                 log.warning("environment %s is missing classes %s; its vote covers the rest", env, missing)
-            weights = _balanced_weights(buckets, require_all=False)
-            rows = cache.envs == env
-            per_env.append(nw_vote_shared(q, cache.features[rows],
-                                          onehot(cache.labels[rows], cache.n_classes), weights))
-        if not per_env:
-            raise CoverageError("no environment could form a support")
+            rows = cache.by_env[env]
+            per_env.append(nw_vote_shared(q, cache.features[rows], onehot(cache.labels[rows], cache.n_classes),
+                                          _balanced_weights(buckets)))
         return np.mean(per_env, axis=0)
 
     if mode.kind == "cluster":
         feats_parts, label_parts = [], []
-        for c, bucket in sorted(cache.by_class.items()):
-            if len(bucket) == 0:
-                raise CoverageError(f"no examples of class {c} in cache", class_id=c)
+        for c in classes:
+            bucket = _class_bucket(cache, None, c)
             k = mode.k
             if k > len(bucket):
                 log.warning("cluster k=%d exceeds class %d bucket size %d; reducing", k, c, len(bucket))
@@ -146,7 +128,7 @@ def predict(mode: InferenceMode, cache: FeatureCache, query_feats, rng: Rng | No
         return nw_vote_shared(q, np.concatenate(feats_parts), onehot(label_parts, cache.n_classes))
 
     if mode.kind in ("knn", "hnsw"):
-        return knn_predict(cache, q, mode.k, exact=(mode.kind == "knn"), rng=rng, index=index)
+        return knn_predict(cache, q, mode.k, exact=(mode.kind == "knn"), rng=rng)
 
     if mode.kind == "probe":
         if probe is None:

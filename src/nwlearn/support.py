@@ -78,7 +78,8 @@ class SupportBatch:
 def _class_bucket(ds: Dataset, env: int | None, c: int) -> np.ndarray:
     bucket = ds.by_class[c] if env is None else ds.by_env_class[(env, c)]
     if len(bucket) == 0:
-        raise CoverageError(f"no examples of class {c} in environment {env}", env=env, class_id=c)
+        where = "" if env is None else f" in environment {env}"
+        raise CoverageError(f"no examples of class {c}{where}", env=env, class_id=c)
     return bucket
 
 
@@ -155,13 +156,8 @@ def sample_env_pair(
     if ds.n_envs < 2:
         raise ConfigError(f"need >= 2 environments, dataset has {ds.n_envs}")
     envs = rng.choice(np.array(ds.env_ids), size=2, replace=False)
-    first = sample_support(
-        ds, SupportSpec(balanced=True, env=int(envs[0]), n_per_class=n_per_class), query_labels, rng
-    )
-    second = sample_support(
-        ds, SupportSpec(balanced=True, env=int(envs[1]), n_per_class=n_per_class), query_labels, rng
-    )
-    return first, second
+    return tuple(sample_support(ds, SupportSpec(env=int(env), n_per_class=n_per_class), query_labels, rng)
+                 for env in envs)
 
 
 def sample_query_batch(ds: Dataset, n_q: int, rng: Rng) -> np.ndarray:
@@ -192,8 +188,6 @@ def sample_balanced_query_batch(ds: Dataset, n_q: int, rng: Rng) -> np.ndarray:
                 log.warning("skipping empty (env=%s, class=%d) cell in balanced query draw", env, c)
                 continue
             cells.append(rng.permutation(bucket))
-    if not cells:
-        raise ConfigError("no non-empty (env, class) cells to draw from")
     # the k-th pick visits cell k % len(cells) for the (k // len(cells))-th time
     n = len(cells)
     return np.array([cells[k % n][(k // n) % len(cells[k % n])] for k in range(n_q)], dtype=np.int64)

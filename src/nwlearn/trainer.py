@@ -2,12 +2,12 @@
 
 A training variant is nothing more than a choice of support set: one
 environment or every one, class-balanced or not. ``VARIANTS`` holds one
-row per variant; the step's loss, its query draw and the support that
-model selection scores on an out-of-distribution validation set all read
-the row. The implicit objective (``nw_implicit``) is read as: a query
-batch drawn from every training environment is scored against one
-environment's class-balanced support, the environments taken in a
-shuffled order per epoch.
+row per variant with just those two choices; the step's loss, its query
+draw and the support that model selection scores on an
+out-of-distribution validation set all follow from them. The implicit
+objective (``nw_implicit``) is read as: a query batch drawn from every
+training environment is scored against one environment's class-balanced
+support, the environments taken in a shuffled order per epoch.
 
 A training step draws its query batch as row indices of the dataset (one
 support draw per batch for the NW variants), then records one taped
@@ -50,20 +50,18 @@ class Variant:
     ``support``: ``"env"`` (one training environment), ``"pair"`` (two
     distinct ones, plus lambda_ times their prediction gap), ``"all"``
     (every environment) or None (the parametric head instead of a vote).
-    ``balanced`` class-balances the support and ``balanced_queries`` the
-    query draw over (environment, class) cells. ``selection`` is what the
-    variant is selected and tested on: ``"full"``, ``"knn_all"`` (the
-    unweighted vote over every training row, ``knn`` at k = |cache|) or
-    None (the head).
+    ``balanced`` class-balances what the row draws: the support of an NW
+    row, the query batch (over (environment, class) cells) of a
+    parametric one. An NW row is selected and tested on ``full`` when
+    balanced and otherwise on the unweighted vote over every training
+    row; a parametric row on its head.
     """
 
     support: str | None
     balanced: bool = True
-    balanced_queries: bool = False
-    selection: str | None = "full"
 
     def selection_mode(self, cache: FeatureCache) -> InferenceMode:
-        return InferenceMode("knn", len(cache)) if self.selection == "knn_all" else InferenceMode("full")
+        return InferenceMode("full") if self.balanced else InferenceMode("knn", len(cache))
 
     def loss(self, net: FeatureNet, head: LinearHead | None, ds: Dataset, query_batch,
              n_c: int, lambda_: float, rng: Rng, env: int | None) -> tuple[Tensor, Tensor | None]:
@@ -83,9 +81,9 @@ VARIANTS: dict[str, Variant] = {
     "nw_implicit": Variant(support="env"),
     "nw_explicit": Variant(support="pair"),
     "nw_balanced": Variant(support="all"),
-    "nw_unbalanced": Variant(support="all", balanced=False, selection="knn_all"),
-    "erm": Variant(support=None, selection=None),
-    "erm_balanced": Variant(support=None, balanced_queries=True, selection=None),
+    "nw_unbalanced": Variant(support="all", balanced=False),
+    "erm": Variant(support=None, balanced=False),
+    "erm_balanced": Variant(support=None),
 }
 
 
@@ -234,6 +232,7 @@ def train(ds_train: Dataset, ds_val_ood: Dataset, cfg: TrainConfig, metric: str 
     params = model.parameters()
     opt = make_optimizer(cfg.optimizer, cfg.lr, cfg.weight_decay)
 
+    draw = sample_balanced_query_batch if head is not None and row.balanced else sample_query_batch
     steps_per_epoch = max(1, len(ds_train) // cfg.n_q)
     report = TrainReport()
     best_snapshot = None
@@ -251,7 +250,6 @@ def train(ds_train: Dataset, ds_val_ood: Dataset, cfg: TrainConfig, metric: str 
         env_cycle = r_env.permutation(np.array(ds_train.env_ids))
         losses, penalties = [], []
         for step in range(steps_per_epoch):
-            draw = sample_balanced_query_batch if row.balanced_queries else sample_query_batch
             batch = draw(ds_train, cfg.n_q, r_query)
             tape = Tape()
             tape.watch(*params)

@@ -199,6 +199,26 @@ def test_cli_gen_data_and_summarize(tmp_path, capsys):
         rows = table_rows(capsys.readouterr().out)
         assert rows == summary_rows(run / summary)
         assert len(rows) == n_rows and all(seeds == "2" for _, _, seeds in rows)
+        # the sweep trains its own two variants and scores their selection modes
+        config = json.loads((run / summary).read_text())["config"]
+        assert {"variant", "modes"} & config.keys() == ({"variant", "modes"} if command == "train" else set())
+
+
+def test_cli_summarize_keeps_runs_under_one_root_apart(tmp_path, capsys):
+    root = tmp_path / "runs"
+    expected = []
+    for variant in ("nw_implicit", "nw_balanced", "erm"):
+        cfg_file = tmp_path / f"{variant}.cfg"
+        cfg_file.write_text(TINY_CFG + f"n_seeds = 2\nvariant = {variant}\n")
+        assert cli_main(["train", "--config", str(cfg_file), "--out", str(root / "grid" / variant)]) == 0
+        expected += [(f"grid/{variant}/{mode}", mean, seeds)
+                     for mode, mean, seeds in summary_rows(root / "grid" / variant / "summary.json")]
+    capsys.readouterr()
+    assert cli_main(["summarize", "--dir", str(root)]) == 0
+    rows = table_rows(capsys.readouterr().out)
+    assert rows == sorted(expected)
+    assert [mode for mode, _, _ in rows] == ["grid/erm/parametric", "grid/nw_balanced/full", "grid/nw_implicit/full"]
+    assert all(seeds == "2" for _, _, seeds in rows)
 
 
 def test_cli_sweep_writes_ten_points_per_seed(tmp_path, capsys):

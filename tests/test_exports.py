@@ -26,3 +26,27 @@ def test_every_import_in_the_package_is_used():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
     assert unused == []
+
+
+def test_every_private_top_level_name_is_used_elsewhere_in_the_package():
+    # a module-level _name that no other statement of the package reads is dead code
+    defined, used = {}, set()
+    for path in sorted(Path(nwlearn.__file__).parent.glob("*.py")):
+        for i, stmt in enumerate(ast.parse(path.read_text(encoding="utf-8")).body):
+            where = (path.name, i)
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            else:
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+                names = [n.id for t in targets if t is not None for n in ast.walk(t) if isinstance(n, ast.Name)]
+            defined.update((name, where) for name in names if name.startswith("_") and not name.startswith("__"))
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    used.add((node.id, where))
+                elif isinstance(node, ast.Attribute):
+                    used.add((node.attr, where))
+                elif isinstance(node, ast.alias):
+                    used.add((node.name, where))
+    unused = [f"{where[0]} {name}" for name, where in defined.items()
+              if not any(n == name and w != where for n, w in used)]
+    assert unused == []

@@ -18,7 +18,7 @@ from nwlearn.infer import (
 )
 from nwlearn.kmeans import kmeans
 from nwlearn.nwhead import _VOTE_BLOCK, nw_predict, nw_vote, nw_vote_shared, onehot
-from nwlearn.support import SupportBatch
+from nwlearn.support import SupportBatch, SupportSpec, sample_support
 from nwlearn.tensor import Tensor, sqdist
 from taped_ops import pairwise_sqdist
 
@@ -79,7 +79,6 @@ def test_build_cache_shares_the_dataset_buckets():
         ours, theirs = getattr(cache, buckets), getattr(ds, buckets)
         assert ours.keys() == theirs.keys() and all(ours[k] is theirs[k] for k in theirs)
     assert np.array_equal(cache.examples[5].x, cache.features[5])
-    assert np.array_equal(cache.indices, np.arange(90))
 
     from_columns = FeatureCache(cache.features.copy(), ds.y.copy(), ds.e.copy(), ds.n_classes)
     q = gen.normal(size=(7, 3))
@@ -121,6 +120,47 @@ def test_random_mode_k_per_class():
                           for _, bucket in sorted(cache.by_class.items())])
     expected = nw_head(np.zeros((1, 5)), cache.features[idx], cache.labels[idx], cache.n_classes)
     assert np.abs(a - expected).max() < 1e-12
+
+
+def test_random_mode_draws_a_short_class_with_replacement_through_the_sampler(caplog):
+    # class 2 has one cached row against k = 3
+    feats = np.random.default_rng(44).normal(size=(13, 5))
+    labels = np.array([0] * 6 + [1] * 6 + [2])
+    cache = FeatureCache(feats, labels, np.zeros(13, dtype=int), 3)
+    q = np.random.default_rng(45).normal(size=(4, 5))
+    with caplog.at_level("WARNING"):
+        got = predict(InferenceMode("random", k=3), cache, q, rng=Rng(46))
+    warnings = [rec for rec in caplog.records if rec.levelname == "WARNING"]
+    assert [rec.name for rec in warnings] == ["nwlearn.support"]
+    assert "with replacement" in warnings[0].getMessage()
+    s = sample_support(cache, SupportSpec(n_per_class=3), (), Rng(46))
+    assert list(s.source_indices[6:]) == [12, 12, 12]
+    assert np.array_equal(got, nw_vote_shared(q, s.features, s.onehot_labels))
+
+
+def test_ensemble_env_missing_a_class_votes_balanced_over_its_own_rows(caplog):
+    gen = np.random.default_rng(47)
+    feats = gen.normal(size=(30, 4))
+    labels = np.arange(30) % 3
+    envs = np.array([0] * 15 + [1] * 15)
+    labels[15:][labels[15:] == 2] = 0  # environment 1 has no row of class 2
+    cache = FeatureCache(feats, labels, envs, 3)
+    q = gen.normal(size=(5, 4))
+    with caplog.at_level("WARNING"):
+        got = predict(InferenceMode("ensemble"), cache, q)
+    per_env = [reference_vote(q, feats[envs == env], labels[envs == env], 3, balanced=True) for env in (0, 1)]
+    assert per_env[1][:, 2].max() == 0.0
+    assert np.abs(got - np.mean(per_env, axis=0)).max() < 1e-12
+    warnings = [rec.getMessage() for rec in caplog.records if rec.levelname == "WARNING"]
+    assert len(warnings) == 1 and "environment 1 " in warnings[0]
+
+
+@pytest.mark.parametrize("kind", ["full", "random", "cluster"])
+def test_empty_class_raises_the_samplers_coverage_error(kind):
+    cache = FeatureCache(np.zeros((4, 2)), np.array([0, 0, 2, 2]), np.zeros(4, dtype=int), 3)
+    with pytest.raises(CoverageError, match=r"^no examples of class 1$") as info:
+        predict(InferenceMode(kind), cache, np.zeros((1, 2)), rng=Rng(48))
+    assert info.value.class_id == 1 and info.value.env is None
 
 
 def test_ensemble_identical_env_predictions_is_identity():
@@ -204,7 +244,7 @@ def test_knn_k_equals_cache_size_matches_unbalanced_full():
         features=cache.features,
         onehot_labels=onehot(cache.labels, cache.n_classes),
         source_envs=cache.envs,
-        source_indices=cache.indices,
+        source_indices=np.arange(len(cache)),
     )
     expected = nw_predict(Tensor(q), support).data
     assert np.abs(got - expected).max() < 1e-9

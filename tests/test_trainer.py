@@ -267,14 +267,34 @@ def test_selection_scores_its_own_support(variant):
     cfg = TrainConfig(variant=variant, max_epochs=1, seed=52, eval_every=0,
                       hidden_dims=(8,), feature_dim=4)
     model, report = train(ds, val, cfg)
-    selection = VARIANTS[variant].selection
-    if selection is None:
+    row = VARIANTS[variant]
+    if row.support is None:
         probs = model.predict_probs(val.X)
-    elif selection == "knn_all":
+    elif not row.balanced:
         probs = knn_predict(build_cache(model, ds), model.extract(val.X).data, k=len(ds))
     else:
         probs = predict(InferenceMode("full"), build_cache(model, ds), model.extract(val.X).data)
     assert report.epochs[0].val_metric == compute_metric(probs, val.y, val.e, "accuracy")
+
+
+@pytest.mark.parametrize("variant", list(VARIANTS))
+def test_only_erm_balanced_draws_balanced_query_batches(variant, monkeypatch):
+    import nwlearn.trainer as trainer_module
+
+    calls = []
+    original = trainer_module.sample_balanced_query_batch
+
+    def counting_draw(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(trainer_module, "sample_balanced_query_batch", counting_draw)
+    ds = toy_dataset(n=120, seed=56)
+    val = Dataset([LabeledExample(x=ex.x, y=ex.y, e=5) for ex in toy_dataset(seed=57).examples], 2)
+    cfg = TrainConfig(variant=variant, max_epochs=2, seed=58, eval_every=0, hidden_dims=(8,), feature_dim=4)
+    train(ds, val, cfg)
+    steps = cfg.max_epochs * (len(ds) // cfg.n_q)
+    assert len(calls) == (steps if variant == "erm_balanced" else 0)
 
 
 @pytest.mark.parametrize("variant", ["nw_implicit", "nw_explicit", "nw_balanced", "nw_unbalanced"])
