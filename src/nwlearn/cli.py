@@ -26,7 +26,7 @@ from .experiment import (
     score_modes,
 )
 from .infer import build_cache, dump_neighbors
-from .io import load_checkpoint, load_csv, save_csv
+from .io import load_checkpoint, save_csv
 
 log = logging.getLogger(__name__)
 
@@ -79,19 +79,10 @@ def _cmd_train(args) -> int:
     return _report(result)
 
 
-def _load_eval_data(args, cfg):
-    if args.data_csv:
-        train_ds = load_csv(Path(args.data_csv) / "train.csv")
-        test_ds = load_csv(Path(args.data_csv) / "test.csv")
-        return train_ds, test_ds
-    train_ds, _, test_ds = load_experiment_data(cfg)
-    return train_ds, test_ds
-
-
 def _cmd_eval(args) -> int:
     cfg = _build_config(args)
     net, probe, metadata = load_checkpoint(args.checkpoint)
-    train_ds, test_ds = _load_eval_data(args, cfg)
+    train_ds, _, test_ds = load_experiment_data(cfg)
     print(f"checkpoint metadata: {json.dumps(metadata, sort_keys=True)}")
     values = score_modes(net, train_ds, test_ds, cfg.modes, cfg.metric,
                          metadata.get("seed", cfg.train.seed), probe=probe)
@@ -103,7 +94,7 @@ def _cmd_eval(args) -> int:
 def _cmd_neighbors(args) -> int:
     cfg = _build_config(args)
     net, _, _ = load_checkpoint(args.checkpoint)
-    train_ds, test_ds = _load_eval_data(args, cfg)
+    train_ds, _, test_ds = load_experiment_data(cfg)
     cache = build_cache(net, train_ds)
     query_feats = net.extract(test_ds.X).data
     neighbors, histogram = dump_neighbors(cache, query_feats, args.top_k)
@@ -179,14 +170,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", parents=[common], help="evaluate a checkpoint")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--data-csv", dest="data_csv", help="directory with train.csv/test.csv")
     p.add_argument("--modes")
     p.add_argument("--metric")
     p.set_defaults(fn=_cmd_eval)
 
     p = sub.add_parser("neighbors", parents=[common], help="dump nearest neighbors + env histogram")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--data-csv", dest="data_csv")
     p.add_argument("--top-k", dest="top_k", type=int, default=20)
     p.set_defaults(fn=_cmd_neighbors)
 

@@ -31,7 +31,7 @@ from .trainer import VARIANTS, TrainConfig, train
 log = logging.getLogger(__name__)
 
 DATA_SOURCES = ("spurious", "imbalanced", "csv")
-PREVALENCES = (0.15, 0.3, 0.5, 0.7, 0.85)  # the sweep's test-set prevalences of its class
+PREVALENCES = (0.15, 0.3, 0.5, 0.7, 0.85)  # the sweep's test-set prevalences of class 0
 
 
 @dataclass
@@ -215,11 +215,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     return _run_seeds(cfg, run_seed, "metrics.jsonl", "summary.json")
 
 
-def run_prevalence_sweep(cfg: ExperimentConfig, prevalences=PREVALENCES, class_id: int = 0) -> ExperimentResult:
+def run_prevalence_sweep(cfg: ExperimentConfig, prevalences=PREVALENCES) -> ExperimentResult:
     """Class-prevalence robustness sweep on the label-skewed benchmark.
 
     Trains the balanced and unbalanced NW variants per seed, then scores
-    both on test sets filtered to each target prevalence of ``class_id``.
+    both on test sets filtered to each target prevalence of class 0.
     Each variant is tested on the support its ``trainer.VARIANTS`` row
     selects it on: ``nw_balanced`` on class-balanced ``full`` mode,
     ``nw_unbalanced`` on the unweighted vote over every training row (exact
@@ -230,13 +230,13 @@ def run_prevalence_sweep(cfg: ExperimentConfig, prevalences=PREVALENCES, class_i
     """
     Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
     ds_train, ds_val, ds_test = load_experiment_data(cfg)
-    base_prevalence = ds_test.class_counts()[class_id] / len(ds_test)
+    base_prevalence = ds_test.class_counts()[0] / len(ds_test)
     usable = [p for p in prevalences if p <= base_prevalence + 1e-9]
     if len(usable) < len(prevalences):
         log.warning("dropping prevalences above the base %.3f: %s",
                     base_prevalence, sorted(set(prevalences) - set(usable)))
     filter_rng = Rng(cfg.data_seed).child()
-    filtered = {p: prevalence_filter(ds_test, class_id, p, filter_rng) for p in usable}
+    filtered = {p: prevalence_filter(ds_test, 0, p, filter_rng) for p in usable}
 
     def run_seed(seed: int) -> list[dict]:
         records = []

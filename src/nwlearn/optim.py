@@ -97,9 +97,3 @@ class Adam:
 
 
 OPTIMIZERS = {"sgd": Sgd, "adam": Adam}
-
-
-def make_optimizer(kind: str, lr: float, weight_decay: float = 0.0):
-    if kind not in OPTIMIZERS:
-        raise ConfigError(f"unknown optimizer {kind!r}; choose from {tuple(OPTIMIZERS)}")
-    return OPTIMIZERS[kind](lr, weight_decay)

@@ -10,7 +10,7 @@ score content-only and style-only oracle classifiers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,6 @@ class ScmConfig:
     style_means: np.ndarray          # (n_classes, n_envs, d_s)
     noise_std: float
     mix_matrix: np.ndarray           # (d_c + d_s, d_x), full row rank
-    ood_env_ids: tuple[int, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
         self.env_prior = np.asarray(self.env_prior, dtype=np.float64)
@@ -122,7 +121,9 @@ _STYLE_STRENGTH = (2.0, 1.0, 0.0)  # per training environment, in units of _STYL
 _OFFSET_SCALE = 2.0   # magnitude of the class-symmetric environment signatures
 
 
-def _benchmark_config(flip_ood: bool, rng: Rng, label_priors: np.ndarray) -> ScmConfig:
+def _benchmark_splits(flip_ood: bool, rng: Rng, label_priors: np.ndarray, n_train: int, n_val: int,
+                      n_test: int) -> tuple[Dataset, Dataset, Dataset]:
+    """The recipe's config and its train, val and test splits."""
     content_dir = np.array([0.5, 0.5, 0.5, 0.5])
     content_means = np.stack([-_CONTENT_GAP * content_dir, _CONTENT_GAP * content_dir])
 
@@ -133,32 +134,28 @@ def _benchmark_config(flip_ood: bool, rng: Rng, label_priors: np.ndarray) -> Scm
     # it from the invariant content. Axes 1-3 carry a strong class-symmetric
     # signature that identifies the environment, which combined with the
     # skewed label priors is the shortcut a pooled learner absorbs
-    offsets = rng.normal(0.0, _OFFSET_SCALE, size=(5, _D_STYLE - 1))
     style_means = np.zeros((2, 5, _D_STYLE))
-    for env, strength in zip(_TRAIN_ENVS, _STYLE_STRENGTH):
-        for cls in (0, 1):
-            sign = 2.0 * cls - 1.0
-            style_means[cls, env, 0] = sign * strength * _STYLE_GAP
-            style_means[cls, env, 1:] = offsets[env]
-    for env in (_VAL_ENV, _TEST_ENV):
-        for cls in (0, 1):
-            sign = 2.0 * cls - 1.0
-            if flip_ood:
-                style_means[cls, env, 0] = -sign * _STYLE_GAP
-            else:
-                # association removed up to a small random per-class jitter
-                style_means[cls, env, 0] = rng.normal(0.0, 0.1 * _STYLE_GAP)
-            style_means[cls, env, 1:] = offsets[env]
+    style_means[:, :, 1:] = rng.normal(0.0, _OFFSET_SCALE, size=(5, _D_STYLE - 1))
+    sign = np.array([[-1.0], [1.0]])  # class 0, class 1
+    style_means[:, _TRAIN_ENVS, 0] = sign * np.array(_STYLE_STRENGTH) * _STYLE_GAP
+    if flip_ood:
+        style_means[:, (_VAL_ENV, _TEST_ENV), 0] = -sign * _STYLE_GAP
+    else:
+        # association removed up to a small random per-class jitter, drawn per environment
+        style_means[:, (_VAL_ENV, _TEST_ENV), 0] = rng.normal(0.0, 0.1 * _STYLE_GAP, size=(2, 2)).T
 
-    return ScmConfig(
+    cfg = ScmConfig(
         env_prior=np.full(5, 0.2),
         label_prior_per_env=label_priors,
         content_means=content_means,
         style_means=style_means,
         noise_std=_NOISE_STD,
         mix_matrix=random_mix_matrix(_D_CONTENT + _D_STYLE, _D_X, rng),
-        ood_env_ids=(_VAL_ENV, _TEST_ENV),
     )
+    train = sample_dataset(cfg, n_train, _TRAIN_ENVS, rng)
+    val = sample_dataset(cfg, n_val, [_VAL_ENV], rng)
+    test = sample_dataset(cfg, n_test, [_TEST_ENV], rng)
+    return train, val, test
 
 
 def spurious_benchmark(flip_ood: bool, rng: Rng, n_train: int = 3000, n_val: int = 600,
@@ -176,11 +173,7 @@ def spurious_benchmark(flip_ood: bool, rng: Rng, n_train: int = 3000, n_val: int
         [0.50, 0.50],
         [0.50, 0.50],
     ])
-    cfg = _benchmark_config(flip_ood, rng, label_priors)
-    train = sample_dataset(cfg, n_train, _TRAIN_ENVS, rng)
-    val = sample_dataset(cfg, n_val, [_VAL_ENV], rng)
-    test = sample_dataset(cfg, n_test, [_TEST_ENV], rng)
-    return train, val, test
+    return _benchmark_splits(flip_ood, rng, label_priors, n_train, n_val, n_test)
 
 
 def imbalanced_benchmark(rng: Rng, majority_share: float = 0.85, n_train: int = 3000,
@@ -193,12 +186,7 @@ def imbalanced_benchmark(rng: Rng, majority_share: float = 0.85, n_train: int = 
     if not 0.0 < majority_share < 1.0:
         raise ConfigError(f"majority_share must be in (0, 1), got {majority_share}")
     prior = np.array([majority_share, 1.0 - majority_share])
-    label_priors = np.tile(prior, (5, 1))
-    cfg = _benchmark_config(False, rng, label_priors)
-    train = sample_dataset(cfg, n_train, _TRAIN_ENVS, rng)
-    val = sample_dataset(cfg, n_val, [_VAL_ENV], rng)
-    test = sample_dataset(cfg, n_test, [_TEST_ENV], rng)
-    return train, val, test
+    return _benchmark_splits(False, rng, np.tile(prior, (5, 1)), n_train, n_val, n_test)
 
 
 def prevalence_filter(ds: Dataset, class_id: int, target_prevalence: float, rng: Rng) -> Dataset:
@@ -304,8 +292,7 @@ def sufficiency_invariance_gap(ds: Dataset, rng: Rng, n_grid: int = 200,
     z = _latents(ds, which)
     grid = z[rng.choice(len(z), size=min(n_grid, len(z)), replace=False)]
     preds = []
-    for env in ds.env_ids:
-        members = np.where(ds.e == env)[0]
+    for members in ds.by_env.values():
         y = ds.y[members]
         counts = np.bincount(y, minlength=2)
         if (counts == 0).any():
@@ -328,33 +315,25 @@ def conditional_mi(ds: Dataset, which: str) -> float:
     latent ignores the environment; bounded away from zero otherwise.
     """
     z = _latents(ds, which)
-    total = 0.0
-    pooled_var = 0.0
-    n_groups = 0
-    for env in ds.env_ids:
-        for c in range(ds.n_classes):
-            members = (ds.e == env) & (ds.y == c)
-            if members.sum() < 2:
-                continue
-            zm = z[members]
-            pooled_var += ((zm - zm.mean(axis=0)) ** 2).sum()
-            n_groups += members.sum()
+    cells = [z[members] for members in ds.by_env_class.values() if len(members) >= 2]
+    pooled_var = sum(((zm - zm.mean(axis=0)) ** 2).sum() for zm in cells)
+    n_groups = sum(len(zm) for zm in cells)
     var = max(pooled_var / max(n_groups * z.shape[1], 1), 1e-12)
 
+    total = 0.0
     for c in range(ds.n_classes):
-        cls_members = np.where(ds.y == c)[0]
+        cls_members = ds.by_class[c]
         if len(cls_members) == 0:
             continue
-        envs = [env for env in ds.env_ids if ((ds.e == env) & (ds.y == c)).any()]
-        means = np.stack([z[(ds.e == env) & (ds.y == c)].mean(axis=0) for env in envs])
-        weights = np.array([((ds.e == env) & (ds.y == c)).sum() for env in envs], dtype=np.float64)
+        envs = [env for env in ds.env_ids if len(ds.by_env_class[env, c])]
+        means = np.stack([z[ds.by_env_class[env, c]].mean(axis=0) for env in envs])
+        weights = np.array([len(ds.by_env_class[env, c]) for env in envs], dtype=np.float64)
         weights /= weights.sum()
         zc = z[cls_members]
         # squared distances to each env mean: (n, n_envs)
         d2 = ((zc[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
         log_cond = -d2 / (2 * var)
-        env_pos = {env: k for k, env in enumerate(envs)}
-        own = np.array([env_pos[int(e)] for e in ds.e[cls_members]])
+        own = np.searchsorted(envs, ds.e[cls_members])  # envs is sorted
         log_own = log_cond[np.arange(len(zc)), own]
         log_mix = np.log((weights[None, :] * np.exp(log_cond - log_cond.max(axis=1, keepdims=True))).sum(axis=1)) + log_cond.max(axis=1)
         total += (log_own - log_mix).sum()

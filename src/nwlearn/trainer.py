@@ -29,7 +29,7 @@ from .featnet import DEFAULT_FEATURE_DIM, DEFAULT_HIDDEN_DIMS, FeatureNet, Linea
 from .infer import FeatureCache, InferenceMode, build_cache, predict
 from .metrics import compute_metric
 from .nwhead import cross_entropy, nw_predict, onehot
-from .optim import OPTIMIZERS, make_optimizer
+from .optim import OPTIMIZERS
 from .rng import Rng
 from .support import (
     SupportSpec,
@@ -217,7 +217,9 @@ def train(ds_train: Dataset, ds_val_ood: Dataset, cfg: TrainConfig, metric: str 
     The returned model carries the parameters of the checkpoint that
     maximized ``metric`` on the OOD validation set. Each check scores the
     variant through one ``predict`` call on its row's selection support,
-    or through the parametric head.
+    or through the parametric head. A check runs after every
+    ``eval_every``-th step and after each epoch's last step, once when the
+    two coincide; the epoch's ``val_metric`` is its last check.
     """
     overlap = set(ds_train.env_ids) & set(ds_val_ood.env_ids)
     if overlap:
@@ -230,7 +232,7 @@ def train(ds_train: Dataset, ds_val_ood: Dataset, cfg: TrainConfig, metric: str 
     head = LinearHead(cfg.feature_dim, ds_train.n_classes) if row.support is None else None
     model = net if head is None else ErmModel(net, head)
     params = model.parameters()
-    opt = make_optimizer(cfg.optimizer, cfg.lr, cfg.weight_decay)
+    opt = OPTIMIZERS[cfg.optimizer](cfg.lr, cfg.weight_decay)
 
     draw = sample_balanced_query_batch if head is not None and row.balanced else sample_query_batch
     steps_per_epoch = max(1, len(ds_train) // cfg.n_q)
@@ -266,10 +268,9 @@ def train(ds_train: Dataset, ds_val_ood: Dataset, cfg: TrainConfig, metric: str 
             losses.append(loss_val)
             penalties.append(0.0 if penalty is None else penalty.item())
             global_step += 1
-            if cfg.eval_every and global_step % cfg.eval_every == 0:
-                consider(epoch, _evaluate(row, net, head, ds_train, ds_val_ood, metric))
-        val_value = _evaluate(row, net, head, ds_train, ds_val_ood, metric)
-        consider(epoch, val_value)
+            if step == steps_per_epoch - 1 or (cfg.eval_every and global_step % cfg.eval_every == 0):
+                val_value = _evaluate(row, net, head, ds_train, ds_val_ood, metric)
+                consider(epoch, val_value)
         report.epochs.append(EpochStats(
             epoch=epoch,
             train_loss=float(np.mean(losses)),

@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, one printed pass/fail line each.
 
 Criteria 8 and 9 are experiment-grade (multi-seed training runs) and take
-a few minutes; everything else is seconds. Tolerances are pinned here and
+one to two minutes each; everything else is seconds. Tolerances are pinned here and
 nowhere else.
 """
 

@@ -83,6 +83,37 @@ def test_single_seed_experiment_writes_artifacts(tmp_path):
     assert (out / "seed_0" / "curves.jsonl").exists()
 
 
+def test_each_curves_line_is_one_epoch_with_its_last_checks_value(tmp_path, monkeypatch):
+    # 30 steps per epoch and eval_every=20: a periodic check falls inside
+    # epochs 0 and 2 and on the end of epoch 1; each call returns a
+    # distinct value
+    import nwlearn.trainer as trainer_module
+
+    steps, checks = [0], []
+    draw, evaluate = trainer_module.sample_query_batch, trainer_module._evaluate
+
+    def counting_draw(*args):
+        steps[0] += 1
+        return draw(*args)
+
+    def recording_evaluate(*args):
+        checks.append((steps[0], evaluate(*args) + len(checks)))
+        return checks[-1][1]
+
+    monkeypatch.setattr(trainer_module, "sample_query_batch", counting_draw)
+    monkeypatch.setattr(trainer_module, "_evaluate", recording_evaluate)
+    cfg = tiny_experiment(tmp_path, train=TrainConfig(max_epochs=3, eval_every=20, hidden_dims=(8,), feature_dim=4))
+    run_experiment(cfg)
+    curves = [json.loads(line) for line in (tmp_path / "run" / "seed_0" / "curves.jsonl").read_text().splitlines()]
+    per_epoch = 240 // cfg.train.n_q
+    assert [c["epoch"] for c in curves] == [0, 1, 2]
+    assert [step for step, _ in checks] == [20, 30, 40, 60, 80, 90]
+    for c in curves:
+        last_step, last_value = [check for check in checks if check[0] <= (c["epoch"] + 1) * per_epoch][-1]
+        assert last_step == (c["epoch"] + 1) * per_epoch
+        assert c["val_metric"] == last_value
+
+
 def test_metrics_file_byte_identical_across_reruns_excluding_timestamps(tmp_path):
     cfg_a = tiny_experiment(tmp_path / "a")
     cfg_b = tiny_experiment(tmp_path / "b")

@@ -50,3 +50,24 @@ def test_every_private_top_level_name_is_used_elsewhere_in_the_package():
     unused = [f"{where[0]} {name}" for name, where in defined.items()
               if not any(n == name and w != where for n, w in used)]
     assert unused == []
+
+
+def test_every_dataclass_field_is_read_somewhere():
+    # a field that no code reads as an attribute is an option nothing honours;
+    # EpochStats is exempt, dataclasses.asdict writes it whole to curves.jsonl
+    package = Path(nwlearn.__file__).parent
+    root = package.parents[1]
+    fields = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            decorators = [d.func if isinstance(d, ast.Call) else d for d in getattr(node, "decorator_list", ())]
+            if isinstance(node, ast.ClassDef) and node.name != "EpochStats" and any(
+                    isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
+                fields += [(node.name, stmt.target.id) for stmt in node.body
+                           if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+    read = set()
+    for path in sorted(package.glob("*.py")) + sorted((root / "tests").glob("*.py")) + sorted(
+            (root / "perfbench").glob("*.py")):
+        read.update(node.attr for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+    assert fields and [f"{cls}.{name}" for cls, name in fields if name not in read] == []

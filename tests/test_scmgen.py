@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from nwlearn import Rng
+from nwlearn import Rng, scmgen
+from nwlearn.data import Dataset
 from nwlearn.errors import ConfigError
 from nwlearn.scmgen import (
     ScmConfig,
+    _fit_logistic,
     conditional_mi,
     imbalanced_benchmark,
     latent_oracle_accuracy,
@@ -95,6 +97,27 @@ def test_spurious_benchmark_shapes_and_envs():
     assert train.input_dim == 16
 
 
+@pytest.mark.parametrize("flip_ood", [True, False])
+def test_style_recipe_matches_its_loop_form(flip_ood, monkeypatch):
+    # the recipe's style means, written cell by cell with the draws in the
+    # same order: the signatures, then the jitter per environment and class
+    configs, sample = [], scmgen.sample_dataset
+    monkeypatch.setattr(scmgen, "sample_dataset", lambda cfg, *args: configs.append(cfg) or sample(cfg, *args))
+    spurious_benchmark(flip_ood, Rng(23), n_train=30, n_val=10, n_test=10)
+    rng, gap = Rng(23), scmgen._STYLE_GAP
+    offsets = rng.normal(0.0, scmgen._OFFSET_SCALE, size=(5, 3))
+    expected = np.zeros((2, 5, 4))
+    for env in range(5):
+        for cls in (0, 1):
+            sign = 2.0 * cls - 1.0
+            if env < 3:
+                expected[cls, env, 0] = sign * scmgen._STYLE_STRENGTH[env] * gap
+            else:
+                expected[cls, env, 0] = -sign * gap if flip_ood else rng.normal(0.0, 0.1 * gap)
+            expected[cls, env, 1:] = offsets[env]
+    assert len(configs) == 3 and (configs[0].style_means == expected).all()
+
+
 def test_benchmark_oracles():
     train, _, test = spurious_benchmark(True, Rng(9))
     assert latent_oracle_accuracy(train, train, "content") >= 0.95
@@ -165,3 +188,78 @@ def test_generation_is_deterministic():
         assert (da.X == db.X).all()
         assert (da.y == db.y).all()
         assert (da.e == db.e).all()
+
+
+def ragged_dataset():
+    # environments 0, 3 and 7 with rows interleaved; cell (3, 1) is empty
+    # and cell (7, 1) holds a single row
+    gen = np.random.default_rng(21)
+    e = np.repeat([0, 3, 7], [12, 9, 8])
+    y = np.r_[np.tile([0, 1], 6), np.zeros(9, dtype=int), np.zeros(7, dtype=int), 1]
+    perm = gen.permutation(len(e))
+    e, y = e[perm], y[perm]
+    zc = gen.normal(size=(len(e), 2)) + y[:, None]
+    zs = gen.normal(size=(len(e), 3)) + e[:, None] / 4
+    return Dataset.from_arrays(np.hstack([zc, zs]), y, e, n_classes=2, latents=(zc, zs))
+
+
+def mask_conditional_mi(ds, z):
+    # the estimate as first written, with a boolean mask per (env, class) cell
+    total = 0.0
+    pooled_var = 0.0
+    n_groups = 0
+    for env in ds.env_ids:
+        for c in range(ds.n_classes):
+            members = (ds.e == env) & (ds.y == c)
+            if members.sum() < 2:
+                continue
+            zm = z[members]
+            pooled_var += ((zm - zm.mean(axis=0)) ** 2).sum()
+            n_groups += members.sum()
+    var = max(pooled_var / max(n_groups * z.shape[1], 1), 1e-12)
+    for c in range(ds.n_classes):
+        cls_members = np.where(ds.y == c)[0]
+        if len(cls_members) == 0:
+            continue
+        envs = [env for env in ds.env_ids if ((ds.e == env) & (ds.y == c)).any()]
+        means = np.stack([z[(ds.e == env) & (ds.y == c)].mean(axis=0) for env in envs])
+        weights = np.array([((ds.e == env) & (ds.y == c)).sum() for env in envs], dtype=np.float64)
+        weights /= weights.sum()
+        zc = z[cls_members]
+        d2 = ((zc[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
+        log_cond = -d2 / (2 * var)
+        env_pos = {env: k for k, env in enumerate(envs)}
+        own = np.array([env_pos[int(e)] for e in ds.e[cls_members]])
+        log_own = log_cond[np.arange(len(zc)), own]
+        log_mix = np.log((weights[None, :] * np.exp(log_cond - log_cond.max(axis=1, keepdims=True))).sum(axis=1)) + log_cond.max(axis=1)
+        total += (log_own - log_mix).sum()
+    return float(total / len(ds))
+
+
+def mask_invariance_gap(ds, z, rng, n_grid=200):
+    # the gap as first written, with one np.where per environment
+    grid = z[rng.choice(len(z), size=min(n_grid, len(z)), replace=False)]
+    preds = []
+    for env in ds.env_ids:
+        members = np.where(ds.e == env)[0]
+        y = ds.y[members]
+        counts = np.bincount(y, minlength=2)
+        if (counts == 0).any():
+            continue
+        w, b = _fit_logistic(z[members], y.astype(np.float64), weights=1.0 / counts[y])
+        preds.append(1.0 / (1.0 + np.exp(-(grid @ w + b))))
+    gap = 0.0
+    for i in range(len(preds)):
+        for j in range(i + 1, len(preds)):
+            gap = max(gap, float(np.abs(preds[i] - preds[j]).max()))
+    return gap
+
+
+@pytest.mark.parametrize("which", ["content", "style"])
+def test_diagnostics_on_empty_and_single_row_cells_match_the_mask_code(which):
+    ds = ragged_dataset()
+    assert len(ds.by_env_class[3, 1]) == 0 and len(ds.by_env_class[7, 1]) == 1
+    z = ds.latents[0 if which == "content" else 1]
+    assert conditional_mi(ds, which) == mask_conditional_mi(ds, z)
+    gap = sufficiency_invariance_gap(ds, Rng(22), which=which)
+    assert gap > 0.0 and gap == mask_invariance_gap(ds, z, Rng(22))

@@ -3,7 +3,7 @@ import pytest
 
 from nwlearn import Tape, Tensor, backward, grad_check
 from nwlearn.errors import ConfigError, ContractError, DomainError, ShapeError
-from nwlearn.optim import Adam, Sgd, make_optimizer
+from nwlearn.optim import Adam, Sgd
 from nwlearn.tensor import add, matmul, mul, scale, smallest_k, softmax_rows, sub, sum_all
 from taped_ops import log, mean_all, pairwise_sqdist, relu, sqrt
 
@@ -190,8 +190,6 @@ def test_optimizer_rejects_nonpositive_lr():
         Sgd(lr=0.0)
     with pytest.raises(ConfigError):
         Adam(lr=-1.0)
-    with pytest.raises(ConfigError):
-        make_optimizer("rmsprop", lr=0.1)
 
 
 def test_adam_trajectory_is_deterministic():

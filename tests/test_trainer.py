@@ -321,6 +321,26 @@ def test_every_validation_check_is_one_trainer_predict_call(variant, monkeypatch
     assert modes == [expected] * checks
 
 
+def test_an_epochs_last_check_runs_once(monkeypatch):
+    # 15 steps per epoch and eval_every=5: the check after step 15 is both
+    # the periodic one and the epoch's own, so each epoch checks 3 times
+    import nwlearn.trainer as trainer_module
+
+    calls = []
+    original = trainer_module._evaluate
+
+    def counting_evaluate(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(trainer_module, "_evaluate", counting_evaluate)
+    ds = toy_dataset(n=120, seed=59)
+    val = Dataset([LabeledExample(x=ex.x, y=ex.y, e=5) for ex in toy_dataset(seed=60).examples], 2)
+    train(ds, val, TrainConfig(variant="nw_implicit", max_epochs=2, seed=61, eval_every=5,
+                               hidden_dims=(8,), feature_dim=4))
+    assert len(calls) == 6
+
+
 @pytest.mark.parametrize("variant, max_nodes", [("nw_implicit", 5), ("nw_explicit", 14),
                                                 ("nw_balanced", 5), ("nw_unbalanced", 5)])
 def test_a_step_is_one_forward_on_a_short_tape(variant, max_nodes, monkeypatch):
