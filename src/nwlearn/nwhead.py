@@ -7,7 +7,8 @@ Euclidean distance with temperature fixed at 1. ``nw_predict`` is the
 taped vote that training differentiates. Inference votes on plain arrays:
 ``nw_vote_shared`` over one support shared by every query, optionally
 class-weighted, and ``nw_vote`` over a support given per query (k nearest
-neighbours).
+neighbours). ``nw_vote_shared`` takes its distances from one GEMM over
+augmented rows into one buffer: within the last ulp of a vote on ``sqdist``.
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ from .tensor import Tensor, _result, _wrap, softmax, sqdist
 # keeps the log in cross_entropy finite when a class weight underflows
 _CE_EPS = 1e-15
 
-# queries per block of nw_vote_shared, which then holds (block, m) float64
-# temporaries instead of (nq, m) ones; 32 and 64 timed fastest on a
-# 600 x 3000 x 16 vote (one BLAS thread, 2-core Xeon)
-_VOTE_BLOCK = 64
+# queries per block of nw_vote_shared, which then holds one (block, m)
+# float64 buffer; in traced train_nw (seed 3, 5 alternating runs, one BLAS
+# thread, 2-core Xeon) infer.predict.full.s read 0.436 s at 32, 0.441 s at 64
+_VOTE_BLOCK = 32
 
 
 def nw_predict(query_feats, support) -> Tensor:
@@ -69,18 +70,22 @@ def nw_vote_shared(q: np.ndarray, feats: np.ndarray, onehot_labels: np.ndarray,
 
     ``class_weights`` (C,) weights every row of class c by
     ``class_weights[c]``: the softmax over -distance + log(weight), since
-    the weight is constant within a class. Queries go through in blocks of
-    ``_VOTE_BLOCK`` rows; each block's distance matrix is written into one
-    reused buffer, turned in place into exp(min distance - distance) and
-    summed per class by one GEMM.
+    the weight is constant within a class. Per block of ``_VOTE_BLOCK``
+    queries, one GEMM of [q, ||q||^2, 1] with [-2 F^T; 1; ||f||^2] writes
+    the squared distances into one reused (block, m) buffer, which is
+    clipped at 0, turned into exp(min distance - distance) and summed per
+    class by a second GEMM: within the last ulp of a vote on ``sqdist``.
     """
     out = np.empty((len(q), onehot_labels.shape[1]))
-    bb = (feats * feats).sum(axis=1)
+    support, queries = np.empty((feats.shape[1] + 2, len(feats))), np.empty((len(q), q.shape[1] + 2))
+    np.multiply(feats.T, -2.0, out=support[:-2])
+    support[-2], support[-1] = 1.0, (feats * feats).sum(axis=1)
+    queries[:, :-2], queries[:, -2], queries[:, -1] = q, (q * q).sum(axis=1), 1.0
     w_buf = np.empty((min(len(q), _VOTE_BLOCK), len(feats)))
-    ab_buf = np.empty_like(w_buf)
     for start in range(0, len(q), _VOTE_BLOCK):
-        block = q[start:start + _VOTE_BLOCK]
-        w = sqdist(block, feats, bb, out=w_buf[:len(block)], ab=ab_buf[:len(block)])
+        block = queries[start:start + _VOTE_BLOCK]
+        w = np.matmul(block, support, out=w_buf[:len(block)])
+        np.maximum(w, 0.0, out=w)
         np.sqrt(w, out=w)
         np.subtract(w.min(axis=1, keepdims=True), w, out=w)
         np.exp(w, out=w)

@@ -1,13 +1,14 @@
 """Dense float64 tensors with taped reverse-mode gradients.
 
 Tensors are values wrapping numpy arrays; only an optimizer step writes a
-parameter's data in place. Gradients are recorded
-on an explicit :class:`Tape`: watch the parameters, run the forward pass,
-then call :func:`backward` once. Ops record a node only when an input sits
-on a live tape, so the identical code path serves training and inference.
-The plain-numpy :func:`sqdist` and :func:`softmax` compute the distances
-and the softmax inside the taped NW vote and the untaped inference votes;
-:func:`smallest_k` is the one "k nearest by (distance, index)" selection.
+parameter's data in place. Gradients are recorded on an explicit
+:class:`Tape`: watch the parameters, run the forward pass, then call
+:func:`backward` once. Ops record a node only when an input sits on a live
+tape, so the identical code path serves training and inference.
+:func:`sqdist` gives the squared distances of the taped NW vote, exact
+k-NN, k-means and the HNSW build; :func:`softmax` is the numpy row
+softmax and :func:`smallest_k` the one "k nearest by (distance, index)"
+selection.
 """
 
 from __future__ import annotations
@@ -73,21 +74,15 @@ class Tape:
         self._nodes.append((out, inputs, vjp))
 
 
-def sqdist(a: np.ndarray, b: np.ndarray, bb: np.ndarray | None = None,
-           out: np.ndarray | None = None, ab: np.ndarray | None = None) -> np.ndarray:
+def sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix of squared Euclidean distances: out[i, j] = ||a_i - b_j||^2.
 
     Computed via the inner-product expansion (aa + bb) - 2ab and clipped at
-    0 to absorb negative round-off. A caller looping over row blocks of
-    ``a`` may pass ``b``'s squared row norms ``bb`` and two (len(a), len(b))
-    buffers ``out`` and ``ab`` to reuse; the result is bit-identical.
+    0 to absorb negative round-off.
     """
-    aa = (a * a).sum(axis=1)[:, None]
-    if bb is None:
-        bb = (b * b).sum(axis=1)
-    ab = np.matmul(a, b.T, out=ab)
+    ab = a @ b.T
     ab *= 2.0
-    out = np.add(aa, bb, out=out)
+    out = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)
     out -= ab
     return np.maximum(out, 0.0, out=out)
 

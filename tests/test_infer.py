@@ -18,9 +18,9 @@ from nwlearn.infer import (
 )
 from nwlearn.kmeans import kmeans
 from nwlearn.nwhead import _VOTE_BLOCK, nw_predict, nw_vote, nw_vote_shared, onehot
+from nwlearn.scmgen import spurious_benchmark
 from nwlearn.support import SupportBatch, SupportSpec, sample_support
-from nwlearn.tensor import Tensor, sqdist
-from taped_ops import pairwise_sqdist
+from nwlearn.tensor import Tensor, softmax, sqdist
 
 
 def nw_head(q, feats, labels, n_classes):
@@ -254,7 +254,11 @@ def test_numpy_vote_and_distance_match_the_taped_head():
     gen = np.random.default_rng(37)
     q, feats = gen.normal(size=(6, 5)), gen.normal(size=(40, 5))
     y = gen.integers(0, 3, size=40)
-    assert np.array_equal(pairwise_sqdist(q, feats).data, sqdist(q, feats))
+    # the taped vote, exact k-NN, k-means and the HNSW build read sqdist:
+    # its bits are the written-out expansion, for one query row as for many
+    for rows in (q, q[:1]):
+        aa, bb = (rows * rows).sum(axis=1)[:, None], (feats * feats).sum(axis=1)
+        assert np.array_equal(sqdist(rows, feats), np.maximum((aa + bb) - 2.0 * (rows @ feats.T), 0.0))
     logits = -np.sqrt(sqdist(q, feats))
     shared = nw_vote_shared(q, feats, onehot(y, 3))
     assert np.abs(shared - nw_vote(logits, np.broadcast_to(onehot(y, 3), (6, 40, 3)))).max() < 1e-12
@@ -299,7 +303,9 @@ def shared_support_cases(cache, q):
     ]
 
 
-@pytest.mark.parametrize("nq", [1, _VOTE_BLOCK - 1, _VOTE_BLOCK, _VOTE_BLOCK + 1, 0])
+# one block and two, each short by a row, whole and with a one-row tail
+@pytest.mark.parametrize("nq", [1, _VOTE_BLOCK - 1, _VOTE_BLOCK, _VOTE_BLOCK + 1,
+                                2 * _VOTE_BLOCK - 1, 2 * _VOTE_BLOCK, 2 * _VOTE_BLOCK + 1, 0])
 def test_shared_support_modes_match_an_independent_vote(nq):
     # unbalanced classes, and environment 1 has no row of class 2
     gen = np.random.default_rng(43)
@@ -315,8 +321,11 @@ def test_shared_support_modes_match_an_independent_vote(nq):
 
 def test_shared_support_vote_of_a_far_query_is_a_finite_simplex():
     cache = make_cache(seed=44)
-    q = np.full((2, 5), 500.0)
-    assert np.sqrt(sqdist(q, cache.features)).min() > 800
+    far = np.full((2, 5), 500.0)
+    assert np.sqrt(sqdist(far, cache.features)).min() > 800
+    # copies of cached rows: the vote's one-GEMM squared distance to such a
+    # row can round below 0 before the clip
+    q = np.concatenate([far, cache.features[[15, 16, 45]]])
     for label, got, expected in shared_support_cases(cache, q):
         assert np.isfinite(got).all(), label
         assert (got >= 0).all() and np.abs(got.sum(axis=1) - 1.0).max() < 1e-12, label
@@ -335,7 +344,25 @@ def test_full_mode_peak_memory_stays_below_one_distance_matrix():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < full_matrix / 4
+    assert peak < full_matrix / 16  # the vote holds one (block, m) buffer
+
+
+def test_shared_support_votes_at_the_benchmark_shape_match_a_vote_on_sqdist():
+    train, val, _ = spurious_benchmark(True, Rng(0))
+    net = FeatureNet((train.X.shape[1], 64, 64, 16), Rng(1))
+    cache = build_cache(net, train)
+    q = net.extract(val.X).data
+    assert q.shape == (600, 16) and len(cache) == 3000
+    logits = -np.sqrt(sqdist(q, cache.features))
+    counts = np.bincount(cache.labels, minlength=cache.n_classes)
+    labels = onehot(cache.labels, cache.n_classes)
+    for label, got, lg in [
+        ("full", predict(InferenceMode("full"), cache, q), logits + np.log(counts.max() / counts[cache.labels])),
+        ("knn", predict(InferenceMode("knn", len(cache)), cache, q), logits),
+    ]:
+        expected = softmax(lg) @ labels
+        assert np.abs(got - expected).max() < 1e-12, label
+        assert np.array_equal(got.argmax(axis=1), expected.argmax(axis=1)), label
 
 
 def test_knn_bounds():
