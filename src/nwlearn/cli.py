@@ -13,7 +13,7 @@ import logging
 import sys
 from pathlib import Path
 
-from .errors import NwError
+from .errors import ConfigError, NwError
 from .experiment import (
     PREVALENCES,
     ExperimentConfig,
@@ -121,7 +121,10 @@ def _cmd_neighbors(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _build_config(args)
-    prevalences = tuple(float(p) for p in args.prevalences.split(",")) if args.prevalences else PREVALENCES
+    try:
+        prevalences = tuple(float(p) for p in args.prevalences.split(",")) if args.prevalences else PREVALENCES
+    except ValueError:
+        raise ConfigError(f"--prevalences must be comma-separated numbers, got {args.prevalences!r}") from None
     return _report(run_prevalence_sweep(cfg, prevalences=prevalences))
 
 
@@ -197,7 +200,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except NwError as exc:
+    except (NwError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -51,6 +51,8 @@ class InferenceMode:
             raise ConfigError(f"unknown inference mode {self.kind!r}; choose from {MODE_KINDS}")
         if self.k is None:
             self.k = _DEFAULT_K.get(self.kind)
+        elif self.kind not in _DEFAULT_K:
+            raise ConfigError(f"inference mode {self.kind!r} takes no k, got {self.k}")
         if self.k is not None and self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
 

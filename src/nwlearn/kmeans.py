@@ -13,14 +13,17 @@ from .errors import ConfigError
 from .rng import Rng
 from .tensor import sqdist
 
+_MAX_ITER = 100
+_REL_TOL = 1e-6
 
-def kmeans(points, k: int, rng: Rng, max_iter: int = 100, rel_tol: float = 1e-6):
+
+def kmeans(points, k: int, rng: Rng):
     """Cluster rows of ``points`` into ``k`` centroids.
 
     Init picks a random first centroid, then repeatedly the point farthest
-    from its nearest chosen centroid. Lloyd iterations stop when the
-    objective's relative improvement drops below ``rel_tol``; an empty
-    cluster is re-seeded to the point farthest from its assigned centroid.
+    from its nearest chosen centroid. At most ``_MAX_ITER`` Lloyd iterations
+    run, until the objective's relative improvement drops below
+    ``_REL_TOL``; an empty cluster takes the point of largest residual.
 
     Returns (centroids (k, d), assignment (n,), objective_history).
     """
@@ -40,13 +43,13 @@ def kmeans(points, k: int, rng: Rng, max_iter: int = 100, rel_tol: float = 1e-6)
     history = []
     prev_obj = None
     assign = np.zeros(n, dtype=np.int64)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         dists = sqdist(pts, centroids)
         assign = dists.argmin(axis=1)
         residual = dists[np.arange(n), assign]
         obj = float(residual.sum())
         history.append(obj)
-        if prev_obj is not None and prev_obj - obj <= rel_tol * max(prev_obj, 1e-12):
+        if prev_obj is not None and prev_obj - obj <= _REL_TOL * max(prev_obj, 1e-12):
             break
         prev_obj = obj
 

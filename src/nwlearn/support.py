@@ -32,8 +32,8 @@ class SupportSpec:
     n_per_class: int = 8
 
     def __post_init__(self):
-        if self.balanced and self.n_per_class < 1:
-            raise ConfigError(f"n_per_class must be >= 1 when balanced, got {self.n_per_class}")
+        if self.n_per_class < 1:
+            raise ConfigError(f"n_per_class must be >= 1, got {self.n_per_class}")
 
 
 @dataclass

@@ -9,11 +9,10 @@ objective (``nw_implicit``) is read as: a query batch drawn from every
 training environment is scored against one environment's class-balanced
 support, the environments taken in a shuffled order per epoch.
 
-A training step draws its query batch as row indices of the dataset (one
-support draw per batch for the NW variants), then records one taped
-feature-net node over the query rows and every support's rows together,
-one taped ``nw_predict`` node per support (or the linear head for ERM)
-and one cross-entropy node, and ends with one optimizer update.
+A training step draws its query batch as row indices of the dataset;
+``Variant.loss`` draws the row's supports (two for ``"pair"``, else one)
+and sends them through ``nw_loss``, or scores ERM's linear head. The step
+ends with one optimizer update.
 """
 
 from __future__ import annotations
@@ -68,13 +67,16 @@ class Variant:
         """(loss, penalty or None) of one step on the query rows
         ``query_batch`` (indices into ``ds``); ``env`` is the environment of
         an ``"env"`` support."""
-        if self.support == "pair":
-            return loss_explicit(net, query_batch, ds, n_c, lambda_, rng)
-        qx, labels, q_onehot = _query_arrays(ds, query_batch)
+        qx, labels = ds.X[query_batch], ds.y[query_batch]
+        q_onehot = onehot(labels, ds.n_classes)
         if self.support is None:
             return cross_entropy(head.predict_probs(net.extract(qx)), q_onehot), None
-        spec = SupportSpec(balanced=self.balanced, env=env if self.support == "env" else None, n_per_class=n_c)
-        return nw_ce_loss(net, qx, q_onehot, sample_support(ds, spec, labels, rng)), None
+        if self.support == "pair":
+            supports = sample_env_pair(ds, n_c, labels, rng)
+        else:
+            spec = SupportSpec(balanced=self.balanced, env=env if self.support == "env" else None, n_per_class=n_c)
+            supports = (sample_support(ds, spec, labels, rng),)
+        return nw_loss(net, qx, q_onehot, supports, lambda_)
 
 
 VARIANTS: dict[str, Variant] = {
@@ -147,58 +149,23 @@ class ErmModel:
         return self.net.parameters() + self.head.parameters()
 
 
-def _query_arrays(ds: Dataset, idx):
-    """(inputs, labels, one-hot labels) of the query rows ``idx`` of ``ds``."""
-    labels = ds.y[idx]
-    return ds.X[idx], labels, onehot(labels, ds.n_classes)
-
-
-def _embed(net: FeatureNet, query_x, *supports) -> tuple[Tensor, list]:
-    """One forward over the query rows and every support's rows: (query
-    features, each support re-bound to its features)."""
-    feats = net.extract(np.concatenate([query_x] + [s.features for s in supports]))
-    stop = len(query_x)
-    q_feats, embedded = take_rows(feats, 0, stop), []
+def nw_loss(net: FeatureNet, query_x, query_onehot, supports, lambda_: float) -> tuple[Tensor, Tensor | None]:
+    """(loss, penalty or None) of one NW step on one or two supports of raw
+    inputs: one feature-net forward over the query rows and every support's
+    rows, one ``nw_predict`` vote per support, and the cross-entropy of the
+    vote on the first. Two supports add ``lambda_`` times the penalty, the
+    mean over queries of the squared L2 gap between the two votes (zero iff
+    they coincide)."""
+    feats, stop = net.extract(np.concatenate([query_x] + [s.features for s in supports])), len(query_x)
+    q_feats, preds = take_rows(feats, 0, stop), []
     for s in supports:
         start, stop = stop, stop + len(s)
-        embedded.append(s.with_features(take_rows(feats, start, stop)))
-    return q_feats, embedded
-
-
-def nw_ce_loss(net: FeatureNet, query_x, query_onehot, support) -> Tensor:
-    """Cross-entropy of the NW vote for one query batch on one support."""
-    q_feats, (embedded,) = _embed(net, query_x, support)
-    return cross_entropy(nw_predict(q_feats, embedded), query_onehot)
-
-
-def _prediction_gap(net: FeatureNet, query_x, support_a, support_b) -> tuple[Tensor, Tensor]:
-    """(predictions under support_a, mean over queries of the squared L2
-    gap between the predictions under the two supports)."""
-    q_feats, (emb_a, emb_b) = _embed(net, query_x, support_a, support_b)
-    pa = nw_predict(q_feats, emb_a)
-    pb = nw_predict(q_feats, emb_b)
-    diff = sub(pa, pb)
-    return pa, scale(sum_all(mul(diff, diff)), 1.0 / pa.shape[0])
-
-
-def invariance_penalty(net: FeatureNet, query_x, support_a, support_b) -> Tensor:
-    """Mean over queries of the squared L2 gap between the predictions
-    under two environment-conditioned supports. Zero iff they coincide."""
-    return _prediction_gap(net, query_x, support_a, support_b)[1]
-
-
-def loss_explicit(net: FeatureNet, query_batch, ds: Dataset, n_c: int, lambda_: float,
-                  rng: Rng) -> tuple[Tensor, Tensor]:
-    """Lagrangian objective on a sampled environment pair.
-
-    Returns (total loss, penalty term). The cross-entropy is computed on
-    the first support; at lambda_=0 this reduces exactly to the loss of an
-    ``"env"`` row on the same draw.
-    """
-    qx, labels, q_onehot = _query_arrays(ds, query_batch)
-    support_a, support_b = sample_env_pair(ds, n_c, labels, rng)
-    pa, penalty = _prediction_gap(net, qx, support_a, support_b)
-    return add(cross_entropy(pa, q_onehot), scale(penalty, lambda_)), penalty
+        preds.append(nw_predict(q_feats, s.with_features(take_rows(feats, start, stop))))
+    if len(preds) == 1:
+        return cross_entropy(preds[0], query_onehot), None
+    diff = sub(*preds)
+    penalty = scale(sum_all(mul(diff, diff)), 1.0 / len(query_x))
+    return add(cross_entropy(preds[0], query_onehot), scale(penalty, lambda_)), penalty
 
 
 def _evaluate(row: Variant, net: FeatureNet, head: LinearHead | None,

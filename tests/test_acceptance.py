@@ -33,7 +33,7 @@ from nwlearn.scmgen import (
 )
 from nwlearn.support import SupportBatch, SupportSpec, sample_env_pair, sample_query_batch, sample_support
 from nwlearn.tensor import Tensor
-from nwlearn.trainer import TrainConfig, invariance_penalty, loss_explicit, nw_ce_loss, train
+from nwlearn.trainer import VARIANTS, TrainConfig, nw_loss, train
 
 
 def report(criterion: int, ok: bool, detail: str):
@@ -60,16 +60,17 @@ def test_criterion_1_gradient_fidelity():
     batch = sample_query_batch(ds, 4, Rng(3))
 
     err_implicit = grad_check(
-        lambda: nw_ce_loss(
+        lambda: nw_loss(
             net,
             ds.X[batch],
             onehot(ds.y[batch], 2),
-            sample_support(ds, SupportSpec(balanced=True, env=0, n_per_class=2),
-                           set(ds.y[batch]), Rng(4)),
-        ),
+            (sample_support(ds, SupportSpec(balanced=True, env=0, n_per_class=2),
+                            set(ds.y[batch]), Rng(4)),),
+            lambda_=0.0,
+        )[0],
         net.parameters(), eps=1e-5)
     err_explicit = grad_check(
-        lambda: loss_explicit(net, batch, ds, n_c=2, lambda_=0.5, rng=Rng(5))[0],
+        lambda: VARIANTS["nw_explicit"].loss(net, None, ds, batch, n_c=2, lambda_=0.5, rng=Rng(5), env=None)[0],
         net.parameters(), eps=1e-5)
     elapsed = time.time() - start
     ok = err_implicit < 1e-4 and err_explicit < 1e-4 and elapsed < 1.0
@@ -114,19 +115,19 @@ def test_criterion_3_constraint_semantics():
     ds = _toy_dataset(n=40, seed=7)
     net = FeatureNet((3, 5, 2), Rng(8))
     batch = sample_query_batch(ds, 4, Rng(9))
-    qx = ds.X[batch]
+    qx, q_onehot = ds.X[batch], onehot(ds.y[batch], 2)
     s1, s2 = sample_env_pair(ds, 2, set(ds.y[batch]), Rng(10))
 
-    zero_pen = invariance_penalty(net, qx, s1, s1).item()
-    diff_pen = invariance_penalty(net, qx, s1, s2).item()
+    zero_pen = nw_loss(net, qx, q_onehot, (s1, s1), lambda_=1.0)[1].item()
+    diff_pen = nw_loss(net, qx, q_onehot, (s1, s2), lambda_=1.0)[1].item()
     p1 = nw_predict(net.extract(qx), dataclasses.replace(s1, features=net.extract(s1.features))).data
     p2 = nw_predict(net.extract(qx), dataclasses.replace(s2, features=net.extract(s2.features))).data
     preds_differ = np.abs(p1 - p2).max() > 1e-9
 
-    total, _ = loss_explicit(net, batch, ds, n_c=2, lambda_=0.0, rng=Rng(11))
+    total, _ = VARIANTS["nw_explicit"].loss(net, None, ds, batch, n_c=2, lambda_=0.0, rng=Rng(11), env=None)
     rng = Rng(11)
     shared_s1, _ = sample_env_pair(ds, 2, set(ds.y[batch]), rng)
-    manual = nw_ce_loss(net, qx, onehot(ds.y[batch], 2), shared_s1)
+    manual, _ = nw_loss(net, qx, q_onehot, (shared_s1,), lambda_=0.0)
 
     ok = (zero_pen == 0.0 and (diff_pen > 0.0) == preds_differ and preds_differ
           and total.item() == manual.item())

@@ -70,6 +70,16 @@ def test_parse_mode():
     assert parse_mode("knn:40").k == 40
 
 
+@pytest.mark.parametrize("label", ["full:3", "ensemble:2", "probe:7"])
+def test_k_on_a_mode_without_k_is_rejected(tmp_path, label):
+    with pytest.raises(ConfigError, match="takes no k"):
+        parse_mode(label)
+    # otherwise "full" and "full:3" would pass the distinct-label check
+    # and record one vote under two labels
+    with pytest.raises(ConfigError, match="takes no k"):
+        tiny_experiment(tmp_path, modes=(label.partition(":")[0], label))
+
+
 def test_single_seed_experiment_writes_artifacts(tmp_path):
     cfg = tiny_experiment(tmp_path)
     result = run_experiment(cfg)
@@ -193,6 +203,21 @@ def test_cli_train_rejects_bad_training_values_before_any_seed(tmp_path):
     code = cli_main(["train", "--config", str(cfg_file), "--out", str(out)])
     assert code == 1
     assert not list(out.glob("seed_*"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--prevalences", "0.5,x"],
+    ["eval", "--checkpoint", "{missing}"],
+    ["neighbors", "--checkpoint", "{missing}"],
+    ["train", "--config", "{missing}"],
+])
+def test_cli_bad_outside_input_is_one_error_line(tmp_path, capsys, argv):
+    missing = str(tmp_path / "missing")
+    code = cli_main([arg.format(missing=missing) for arg in argv] + ["--out", str(tmp_path / "run")])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not (tmp_path / "run").exists()
 
 
 def table_rows(text: str) -> list[tuple[str, str, str]]:

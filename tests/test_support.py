@@ -66,6 +66,13 @@ def test_missing_env_rejected():
         sample_support(ds, SupportSpec(balanced=True, env=9, n_per_class=2), {0}, Rng(5))
 
 
+@pytest.mark.parametrize("balanced", [True, False])
+@pytest.mark.parametrize("n_per_class", [0, -1])
+def test_support_size_below_one_rejected(balanced, n_per_class):
+    with pytest.raises(ConfigError, match="n_per_class"):
+        SupportSpec(balanced=balanced, n_per_class=n_per_class)
+
+
 def test_small_bucket_samples_with_replacement():
     # env 0 / class 0 has exactly one example after construction
     examples = [LabeledExample(x=np.zeros(2), y=0, e=0)]

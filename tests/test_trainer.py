@@ -11,7 +11,7 @@ from nwlearn.infer import InferenceMode, build_cache, knn_predict, predict
 from nwlearn.metrics import compute_metric
 from nwlearn.nwhead import cross_entropy, nw_predict, onehot
 from nwlearn.support import SupportSpec, sample_env_pair, sample_query_batch, sample_support
-from nwlearn.trainer import VARIANTS, TrainConfig, invariance_penalty, loss_explicit, nw_ce_loss, train
+from nwlearn.trainer import VARIANTS, TrainConfig, nw_loss, train
 
 
 def toy_dataset(n=120, n_envs=2, dim=4, seed=0, separation=1.5):
@@ -23,6 +23,26 @@ def toy_dataset(n=120, n_envs=2, dim=4, seed=0, separation=1.5):
         x = gen.normal(size=dim) + separation * (2 * y - 1) * np.array([1.0, 1.0, 0.0, 0.0])
         examples.append(LabeledExample(x=x, y=y, e=e))
     return Dataset(examples, n_classes=2)
+
+
+def _numpy_vote(net, qx, support):
+    """The NW vote of the query rows on a support of raw inputs, with the
+    feature net and the kernel written out in plain numpy."""
+    def forward(x):
+        h = x
+        for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+            h = h @ w.data + b.data
+            if i != len(net.weights) - 1:
+                h = np.maximum(h, 0.0)
+        return h
+
+    qf, sf = forward(qx), forward(support.features)
+    d = np.sqrt(np.maximum(
+        (qf * qf).sum(1)[:, None] + (sf * sf).sum(1)[None, :] - 2 * qf @ sf.T, 0.0))
+    logits = -d - (-d).max(axis=1, keepdims=True)
+    w = np.exp(logits)
+    w /= w.sum(axis=1, keepdims=True)
+    return w @ support.onehot_labels
 
 
 def test_config_validation():
@@ -61,39 +81,41 @@ def test_loss_implicit_matches_straight_line_reevaluation():
 
     support = sample_support(ds, SupportSpec(balanced=True, env=env, n_per_class=4),
                              set(ds.y[batch]), Rng(6))
-    qx = ds.X[batch]
-
-    def forward(x):
-        h = x
-        for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-            h = h @ w.data + b.data
-            if i != len(net.weights) - 1:
-                h = np.maximum(h, 0.0)
-        return h
-
-    qf, sf = forward(qx), forward(support.features)
-    d = np.sqrt(np.maximum(
-        (qf * qf).sum(1)[:, None] + (sf * sf).sum(1)[None, :] - 2 * qf @ sf.T, 0.0))
-    logits = -d - (-d).max(axis=1, keepdims=True)
-    w = np.exp(logits)
-    w /= w.sum(axis=1, keepdims=True)
-    probs = w @ support.onehot_labels
+    probs = _numpy_vote(net, ds.X[batch], support)
     expect = -np.mean([np.log(probs[i, y] + 1e-15) for i, y in enumerate(ds.y[batch])])
     assert loss.item() == pytest.approx(expect, abs=1e-10)
+
+
+def test_loss_explicit_matches_straight_line_reevaluation():
+    # oracle: re-draw the pair row's two supports with a cloned stream and
+    # evaluate CE(p_a) + lambda * mean ||p_a - p_b||^2 in plain numpy
+    ds = toy_dataset(seed=42)
+    net = FeatureNet((4, 8, 3), Rng(43))
+    batch = sample_query_batch(ds, 5, Rng(44))
+    lam = 0.5
+    loss, penalty = VARIANTS["nw_explicit"].loss(net, None, ds, batch, n_c=4, lambda_=lam, rng=Rng(45), env=None)
+
+    support_a, support_b = sample_env_pair(ds, 4, ds.y[batch], Rng(45))
+    pa, pb = _numpy_vote(net, ds.X[batch], support_a), _numpy_vote(net, ds.X[batch], support_b)
+    gap = ((pa - pb) ** 2).sum(axis=1).mean()
+    ce = -np.mean([np.log(pa[i, y] + 1e-15) for i, y in enumerate(ds.y[batch])])
+    assert gap > 0.0
+    assert penalty.item() == pytest.approx(gap, abs=1e-12)
+    assert loss.item() == pytest.approx(ce + lam * gap, abs=1e-12)
 
 
 def test_explicit_penalty_zero_iff_predictions_coincide():
     ds = toy_dataset(seed=7)
     net = FeatureNet((4, 6, 2), Rng(8))
     batch = sample_query_batch(ds, 4, Rng(9))
-    qx = ds.X[batch]
+    qx, q_onehot = ds.X[batch], onehot(ds.y[batch], 2)
     s1, s2 = sample_env_pair(ds, 3, set(ds.y[batch]), Rng(10))
 
     # identical supports -> identical predictions -> exactly zero
-    assert invariance_penalty(net, qx, s1, s1).item() == 0.0
+    assert nw_loss(net, qx, q_onehot, (s1, s1), lambda_=1.0)[1].item() == 0.0
 
     # differing supports -> differing predictions -> strictly positive
-    penalty = invariance_penalty(net, qx, s1, s2).item()
+    penalty = nw_loss(net, qx, q_onehot, (s1, s2), lambda_=1.0)[1].item()
     p1 = nw_predict(net.extract(qx), dataclasses.replace(s1, features=net.extract(s1.features))).data
     p2 = nw_predict(net.extract(qx), dataclasses.replace(s2, features=net.extract(s2.features))).data
     assert penalty == pytest.approx(((p1 - p2) ** 2).sum(axis=1).mean(), abs=1e-12)
@@ -106,13 +128,13 @@ def test_explicit_hand_penalty_value():
     p1 = np.array([[1.0, 0.0]])
     p2 = np.array([[0.0, 1.0]])
     assert ((p1 - p2) ** 2).sum() == pytest.approx(2.0)
-    # end-to-end: loss_explicit adds lambda * penalty on top of the CE term
+    # end-to-end: the pair row's loss adds lambda * penalty on top of the CE term
     ds = toy_dataset(seed=11)
     net = FeatureNet((4, 6, 2), Rng(12))
     batch = sample_query_batch(ds, 4, Rng(13))
     for lam in (0.5, 2.0):
-        total, penalty = loss_explicit(net, batch, ds, n_c=3, lambda_=lam, rng=Rng(14))
-        base, _ = loss_explicit(net, batch, ds, n_c=3, lambda_=1e-12, rng=Rng(14))
+        total, penalty = VARIANTS["nw_explicit"].loss(net, None, ds, batch, n_c=3, lambda_=lam, rng=Rng(14), env=None)
+        base, _ = VARIANTS["nw_explicit"].loss(net, None, ds, batch, n_c=3, lambda_=1e-12, rng=Rng(14), env=None)
         assert total.item() == pytest.approx(base.item() + lam * penalty.item(), rel=1e-9, abs=1e-9)
 
 
@@ -121,12 +143,12 @@ def test_explicit_lambda_zero_reduces_to_implicit_on_shared_draw():
     net = FeatureNet((4, 6, 2), Rng(16))
     batch = sample_query_batch(ds, 4, Rng(17))
 
-    total, _ = loss_explicit(net, batch, ds, n_c=3, lambda_=0.0, rng=Rng(18))
+    total, _ = VARIANTS["nw_explicit"].loss(net, None, ds, batch, n_c=3, lambda_=0.0, rng=Rng(18), env=None)
 
     rng = Rng(18)
     s1, _ = sample_env_pair(ds, 3, set(ds.y[batch]), rng)
     qx = ds.X[batch]
-    manual = nw_ce_loss(net, qx, onehot(ds.y[batch], 2), s1)
+    manual, _ = nw_loss(net, qx, onehot(ds.y[batch], 2), (s1,), lambda_=0.0)
     assert total.item() == manual.item()
 
 
@@ -135,7 +157,7 @@ def test_explicit_needs_two_envs():
     net = FeatureNet((4, 4, 2), Rng(20))
     batch = sample_query_batch(ds, 4, Rng(21))
     with pytest.raises(ConfigError):
-        loss_explicit(net, batch, ds, n_c=3, lambda_=0.1, rng=Rng(22))
+        VARIANTS["nw_explicit"].loss(net, None, ds, batch, n_c=3, lambda_=0.1, rng=Rng(22), env=None)
 
 
 def test_erm_zero_head_is_log_c():
@@ -169,7 +191,7 @@ def test_full_objective_gradients_match_finite_differences():
     assert err_implicit < 1e-4
 
     err_explicit = grad_check(
-        lambda: loss_explicit(net, batch, ds, n_c=2, lambda_=0.7, rng=Rng(32))[0],
+        lambda: VARIANTS["nw_explicit"].loss(net, None, ds, batch, n_c=2, lambda_=0.7, rng=Rng(32), env=None)[0],
         net.parameters(), eps=1e-5)
     assert err_explicit < 1e-4
 
