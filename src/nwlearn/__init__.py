@@ -39,7 +39,7 @@ from .scmgen import (
     sample_dataset,
     spurious_benchmark,
 )
-from .support import SupportBatch, SupportSpec, sample_env_pair, sample_query_batch, sample_support
+from .support import SupportSpec, sample_env_pair, sample_query_batch, sample_support
 from .tensor import Tape, Tensor, backward, grad_check
 from .trainer import TrainConfig, TrainReport, train
 
@@ -61,7 +61,6 @@ __all__ = [
     "Rng",
     "ScmConfig",
     "ShapeError",
-    "SupportBatch",
     "SupportSpec",
     "Tape",
     "Tensor",

@@ -39,7 +39,7 @@ def _build_config(args) -> ExperimentConfig:
     values = {}
     if args.config:
         values.update(parse_config_file(args.config))
-    for key in ("seed", "out_dir", "variant", "metric", "modes", "n_seeds", "max_epochs", "data", "flip_ood"):
+    for key in ("seed", "data_seed", "out_dir", "variant", "metric", "modes", "n_seeds", "max_epochs", "data", "flip_ood"):
         value = getattr(args, "out" if key == "out_dir" else key, None)
         if value is not None:
             values[key] = str(value)
@@ -152,18 +152,21 @@ def _cmd_summarize(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat key = value config file")
-    common.add_argument("--seed", type=int, help="base training seed")
     common.add_argument("--out", help="output directory")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[common])
+    seeded.add_argument("--seed", type=int, help="base training seed")
 
     parser = argparse.ArgumentParser(prog="nwlearn", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", parents=[common], help="generate benchmark CSVs")
+    p.add_argument("--seed", dest="data_seed", type=int,
+                   help="data seed of the generated benchmark (config key data_seed)")
     p.add_argument("--data", choices=("spurious", "imbalanced"))
     p.add_argument("--flip-ood", dest="flip_ood", choices=("true", "false"))
     p.set_defaults(fn=_cmd_gen_data)
 
-    p = sub.add_parser("train", parents=[common], help="train + evaluate across seeds")
+    p = sub.add_parser("train", parents=[seeded], help="train + evaluate across seeds")
     p.add_argument("--variant")
     p.add_argument("--metric")
     p.add_argument("--modes", help="comma-separated inference modes, e.g. full,cluster,knn:20")
@@ -171,24 +174,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-epochs", dest="max_epochs", type=int)
     p.set_defaults(fn=_cmd_train)
 
-    p = sub.add_parser("eval", parents=[common], help="evaluate a checkpoint")
+    p = sub.add_parser("eval", parents=[seeded], help="evaluate a checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--modes")
     p.add_argument("--metric")
     p.set_defaults(fn=_cmd_eval)
 
-    p = sub.add_parser("neighbors", parents=[common], help="dump nearest neighbors + env histogram")
+    p = sub.add_parser("neighbors", parents=[seeded], help="dump nearest neighbors + env histogram")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--top-k", dest="top_k", type=int, default=20)
     p.set_defaults(fn=_cmd_neighbors)
 
-    p = sub.add_parser("sweep", parents=[common], help="class-prevalence robustness sweep")
+    p = sub.add_parser("sweep", parents=[seeded], help="class-prevalence robustness sweep")
     p.add_argument("--prevalences", help="comma-separated target prevalences")
     p.add_argument("--n-seeds", dest="n_seeds", type=int)
     p.add_argument("--max-epochs", dest="max_epochs", type=int)
     p.set_defaults(fn=_cmd_sweep)
 
-    p = sub.add_parser("summarize", parents=[common], help="aggregate metrics records")
+    p = sub.add_parser("summarize", parents=[seeded], help="aggregate metrics records")
     p.add_argument("--dir", required=True)
     p.set_defaults(fn=_cmd_summarize)
 

@@ -55,8 +55,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.data not in DATA_SOURCES:
             raise ConfigError(f"data must be one of {DATA_SOURCES}, got {self.data!r}")
-        if self.n_seeds < 1:
-            raise ConfigError(f"n_seeds must be >= 1, got {self.n_seeds}")
+        if min(self.n_seeds, self.n_train, self.n_val, self.n_test) < 1:
+            raise ConfigError(f"n_seeds, n_train, n_val and n_test must be >= 1, got "
+                              f"{self.n_seeds}, {self.n_train}, {self.n_val}, {self.n_test}")
+        if self.data_seed < 0:
+            raise ConfigError(f"data_seed must be >= 0, got {self.data_seed}")
         if not self.modes:
             raise ConfigError("at least one inference mode is required")
         if self.metric not in METRICS:

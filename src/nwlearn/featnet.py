@@ -17,6 +17,13 @@ DEFAULT_HIDDEN_DIMS = (64, 64)
 DEFAULT_FEATURE_DIM = 16
 
 
+def _checked_dims(layer_dims) -> list[int]:
+    dims = [int(d) for d in layer_dims]
+    if len(dims) < 2 or any(d <= 0 for d in dims):
+        raise ConfigError(f"layer_dims needs >= 2 positive entries, got {layer_dims}")
+    return dims
+
+
 class FeatureNet:
     """Fully-connected feature extractor.
 
@@ -24,10 +31,7 @@ class FeatureNet:
     """
 
     def __init__(self, layer_dims, rng: Rng):
-        dims = [int(d) for d in layer_dims]
-        if len(dims) < 2 or any(d <= 0 for d in dims):
-            raise ConfigError(f"layer_dims needs >= 2 positive entries, got {layer_dims}")
-        self.layer_dims = dims
+        dims = self.layer_dims = _checked_dims(layer_dims)
         self.weights = []
         self.biases = []
         for din, dout in zip(dims[:-1], dims[1:]):
@@ -39,7 +43,7 @@ class FeatureNet:
     def from_weights(cls, layer_dims, weights, biases) -> "FeatureNet":
         """Rebuild a net from raw arrays (checkpoint loading)."""
         net = cls.__new__(cls)
-        net.layer_dims = [int(d) for d in layer_dims]
+        net.layer_dims = _checked_dims(layer_dims)
         net.weights = [Tensor(np.asarray(w, dtype=np.float64)) for w in weights]
         net.biases = [Tensor(np.asarray(b, dtype=np.float64)) for b in biases]
         for w, b, din, dout in zip(net.weights, net.biases, net.layer_dims[:-1], net.layer_dims[1:]):

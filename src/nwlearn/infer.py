@@ -2,7 +2,8 @@
 
 All modes precompute training features once into a FeatureCache and then
 apply an NW vote with differently assembled supports: Random (k per
-class, drawn by the training sampler ``support.sample_support``), Full
+class: the rows that the training sampler ``support.sample_support``
+draws from the cache, voting with their cached features and labels), Full
 (entire training set, class-balanced by per-class weights), Ensemble
 (average of per-environment predictions), Cluster (per-class k-means
 centroids), exact k-NN and HNSW, plus a linear probe trained on the
@@ -14,7 +15,8 @@ is the unweighted vote over every training row, the support
 ``nw_unbalanced`` is selected and tested on; the other NW variants are
 selected on Full. Random, Full and Cluster take their class buckets from
 ``support._class_bucket``, so an empty class raises the sampler's
-``CoverageError``.
+``CoverageError``. A non-finite query value raises ``DomainError`` in every
+mode and in ``dump_neighbors``.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .errors import ConfigError, ContractError, CoverageError
+from .errors import ConfigError, ContractError, CoverageError, DomainError
 from .featnet import FeatureNet, LinearHead
 from .hnsw import HnswIndex
 from .kmeans import kmeans
@@ -89,16 +91,25 @@ def _balanced_weights(buckets) -> np.ndarray:
     return np.array([target / n if n else 0.0 for n in sizes])
 
 
+def _queries(query_feats) -> np.ndarray:
+    """Query features as a 2-D float64 array; raises DomainError on a
+    non-finite value, which would otherwise vote as a row of NaNs."""
+    q = np.atleast_2d(np.asarray(query_feats, dtype=np.float64))
+    if not np.isfinite(q).all():
+        raise DomainError("query features must be finite")
+    return q
+
+
 def predict(mode: InferenceMode, cache: FeatureCache, query_feats, rng: Rng | None = None,
             probe: LinearHead | None = None) -> np.ndarray:
     """Per-query class simplices under the requested inference mode."""
-    q = np.atleast_2d(np.asarray(query_feats, dtype=np.float64))
+    q = _queries(query_feats)
     rng = rng if rng is not None else Rng(0)
     classes = range(cache.n_classes)
 
     if mode.kind == "random":
-        s = sample_support(cache, SupportSpec(n_per_class=mode.k), (), rng)
-        return nw_vote_shared(q, s.features, s.onehot_labels)
+        rows = sample_support(cache, SupportSpec(n_per_class=mode.k), (), rng)
+        return nw_vote_shared(q, cache.features[rows], onehot(cache.labels[rows], cache.n_classes))
 
     if mode.kind == "full":
         weights = _balanced_weights([_class_bucket(cache, None, c) for c in classes])
@@ -157,7 +168,7 @@ def knn_predict(cache: FeatureCache, query_feats, k: int, exact: bool = True,
     """
     if k < 1 or k > len(cache):
         raise ContractError(f"k must be in [1, {len(cache)}], got {k}")
-    q = np.atleast_2d(np.asarray(query_feats, dtype=np.float64))
+    q = _queries(query_feats)
     if exact and k == len(cache):
         return nw_vote_shared(q, cache.features, onehot(cache.labels, cache.n_classes))
     if exact:
@@ -200,17 +211,8 @@ def dump_neighbors(cache: FeatureCache, query_feats, top_k: int):
     """
     if top_k < 1 or top_k > len(cache):
         raise ContractError(f"top_k must be in [1, {len(cache)}], got {top_k}")
-    q = np.atleast_2d(np.asarray(query_feats, dtype=np.float64))
-    idx, dist = _exact_neighbors(cache, q, top_k)
-    neighbors = []
-    env_counts = {env: 0 for env in cache.env_ids}
-    for row_idx, row_dist in zip(idx, dist):
-        entry = []
-        for i, d in zip(row_idx.tolist(), row_dist.tolist()):
-            env = int(cache.envs[i])
-            entry.append((i, d, int(cache.labels[i]), env))
-            env_counts[env] += 1
-        neighbors.append(entry)
-    total = max(sum(env_counts.values()), 1)
-    histogram = {env: count / total for env, count in env_counts.items()}
-    return neighbors, histogram
+    idx, dist = _exact_neighbors(cache, _queries(query_feats), top_k)
+    neighbors = [[(i, d, int(cache.labels[i]), int(cache.envs[i])) for i, d in zip(row_idx, row_dist)]
+                 for row_idx, row_dist in zip(idx.tolist(), dist.tolist())]
+    envs = cache.envs[idx]
+    return neighbors, {env: float((envs == env).sum() / max(envs.size, 1)) for env in cache.env_ids}

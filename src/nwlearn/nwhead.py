@@ -3,8 +3,9 @@
 A prediction is a kernel-weighted vote over support labels: softmax over
 similarities between the query feature and every support feature, then a
 matrix product with the one-hot support labels. Similarity is the negative
-Euclidean distance with temperature fixed at 1. ``nw_predict`` is the
-taped vote that training differentiates. Inference votes on plain arrays:
+Euclidean distance with temperature fixed at 1. Training differentiates
+the taped ``nw_predict(query_feats, support_feats, onehot_labels)``, which
+checks that the labels are one-hot. Inference votes on plain arrays:
 ``nw_vote_shared`` over one support shared by every query, optionally
 class-weighted, and ``nw_vote`` over a support given per query (k nearest
 neighbours). ``nw_vote_shared`` takes its distances from one GEMM over
@@ -27,22 +28,23 @@ _CE_EPS = 1e-15
 _VOTE_BLOCK = 32
 
 
-def nw_predict(query_feats, support) -> Tensor:
+def nw_predict(query_feats, support_feats, onehot_labels) -> Tensor:
     """Kernel-weighted vote over support labels, one simplex row per query.
 
-    ``support`` is a SupportBatch whose ``features`` live in the same space
-    as ``query_feats``. Differentiable end-to-end when the inputs sit on a
-    live tape, as one taped node: the forward is the row-wise softmax of
-    the similarities -||q_i - s_j||, times the labels, and the hand-written
-    VJP runs that chain backwards (a zero distance gets the square root's
-    subgradient 0).
+    ``support_feats`` (m, d) live in the same space as ``query_feats``, and
+    ``onehot_labels`` (m, C) hold one 1 per row. Differentiable end-to-end
+    when the inputs sit on a live tape, as one taped node: the forward is
+    the row-wise softmax of the similarities -||q_i - s_j||, times the
+    labels, and the hand-written VJP runs that chain backwards (a zero
+    distance gets the square root's subgradient 0).
     """
-    labels = np.asarray(support.onehot_labels, dtype=np.float64)
-    if labels.shape[0] == 0:
-        raise ContractError("nw_predict needs a non-empty support set")
-    q, s = _wrap(query_feats), _wrap(support.features)
-    if q.data.ndim != 2 or s.data.ndim != 2 or q.shape[1] != s.shape[1] or s.shape[0] != labels.shape[0]:
+    labels = np.asarray(onehot_labels, dtype=np.float64)
+    q, s = _wrap(query_feats), _wrap(support_feats)
+    if (q.data.ndim != 2 or s.data.ndim != 2 or labels.ndim != 2 or q.shape[1] != s.shape[1]
+            or s.shape[0] != labels.shape[0]):
         raise ShapeError(f"nw_predict: queries {q.shape}, support {s.shape}, labels {labels.shape}")
+    if not (len(labels) and (labels.sum(axis=1) == 1).all() and ((labels == 0) | (labels == 1)).all()):
+        raise ContractError("nw_predict needs a non-empty support whose onehot_labels rows have exactly one 1")
     dist = sqdist(q.data, s.data)
     if not np.isfinite(dist).all():
         raise DomainError("nw_predict: non-finite squared distance")

@@ -12,6 +12,9 @@ import numpy as np
 from .errors import ConfigError, ContractError
 from .tensor import Tensor
 
+# Adam's moment decay rates and the guard on its denominator (Kingma & Ba's defaults)
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+
 
 class Sgd:
     def __init__(self, lr: float, weight_decay: float = 0.0):
@@ -37,15 +40,11 @@ class Adam:
     another layout raises ContractError.
     """
 
-    def __init__(self, lr: float, weight_decay: float = 0.0,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, lr: float, weight_decay: float = 0.0):
         if lr <= 0:
             raise ConfigError(f"lr must be positive, got {lr}")
         self.lr = lr
         self.weight_decay = weight_decay
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self._m = self._v = self._buf = self._flat = None
         self._views: list[np.ndarray] = []
         self._t = 0
@@ -69,7 +68,7 @@ class Adam:
         if len(params) != len(self._views) or any(p.data is not w for p, w in zip(params, self._views)):
             self._gather(params)
         self._t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = _BETA1, _BETA2
         m, v, u, flat = self._m, self._v, self._buf, self._flat
         g = np.concatenate([grads[p].data.ravel() for p in params])
         # m = b1 m + (1 - b1) g and v = b2 v + (1 - b2) g^2, in place
@@ -83,7 +82,7 @@ class Adam:
         # g becomes the step lr * m_hat / (sqrt(v_hat) + eps)
         np.divide(v, 1.0 - b2 ** self._t, out=g)
         np.sqrt(g, out=g)
-        g += self.eps
+        g += _EPS
         np.divide(m, 1.0 - b1 ** self._t, out=u)
         u *= self.lr
         np.divide(u, g, out=g)

@@ -4,20 +4,20 @@ The causal assumptions live here: class balancing acts as an intervention
 on the label (removing the environment's influence on class prevalence),
 and conditioning on a single environment precludes votes that lean on
 environment-specific features. Sampling happens once per query mini-batch,
-and the support labels must cover the query labels.
+and the support labels must cover the query labels. Every sampler returns
+int64 row indices into the dataset it draws from; the caller gathers the
+rows' inputs or features and labels.
 """
 
 from __future__ import annotations
 
-import copy
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset
-from .errors import ConfigError, ContractError, CoverageError
-from .nwhead import onehot
+from .errors import ConfigError, CoverageError
 from .rng import Rng
 
 log = logging.getLogger(__name__)
@@ -36,45 +36,6 @@ class SupportSpec:
             raise ConfigError(f"n_per_class must be >= 1, got {self.n_per_class}")
 
 
-@dataclass
-class SupportBatch:
-    """A sampled support set: features with one-hot labels and provenance.
-
-    ``features`` holds raw inputs straight out of the sampler; callers
-    re-bind it to extracted feature vectors before the NW head sees it.
-    """
-
-    features: object  # (N_s, dim) ndarray, or Tensor once embedded
-    onehot_labels: np.ndarray
-    source_envs: np.ndarray = field(default=None)
-    source_indices: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        n = self.onehot_labels.shape[0]
-        rows_ok = (self.onehot_labels.sum(axis=1) == 1).all() and (
-            (self.onehot_labels == 0) | (self.onehot_labels == 1)
-        ).all()
-        if not rows_ok:
-            raise ContractError("onehot_labels rows must have exactly one 1")
-        for arr in (self.source_envs, self.source_indices):
-            if arr is not None and len(arr) != n:
-                raise ContractError("support batch fields have mismatched row counts")
-
-    def __len__(self) -> int:
-        return self.onehot_labels.shape[0]
-
-    def with_features(self, features) -> SupportBatch:
-        """This batch with ``features`` re-bound, without re-checking the
-        labels that construction already checked."""
-        batch = copy.copy(self)
-        batch.features = features
-        return batch
-
-    @property
-    def labels(self) -> np.ndarray:
-        return self.onehot_labels.argmax(axis=1)
-
-
 def _class_bucket(ds: Dataset, env: int | None, c: int) -> np.ndarray:
     bucket = ds.by_class[c] if env is None else ds.by_env_class[(env, c)]
     if len(bucket) == 0:
@@ -83,8 +44,8 @@ def _class_bucket(ds: Dataset, env: int | None, c: int) -> np.ndarray:
     return bucket
 
 
-def sample_support(ds: Dataset, spec: SupportSpec, query_labels, rng: Rng) -> SupportBatch:
-    """Draw one support set according to ``spec``.
+def sample_support(ds: Dataset, spec: SupportSpec, query_labels, rng: Rng) -> np.ndarray:
+    """Row indices (int64) of one support set drawn according to ``spec``.
 
     Balanced mode cycles through every class and draws exactly
     ``n_per_class`` examples from each, without replacement inside a class
@@ -106,49 +67,38 @@ def sample_support(ds: Dataset, spec: SupportSpec, query_labels, rng: Rng) -> Su
         parts = []
         for c in range(ds.n_classes):
             bucket = _class_bucket(ds, spec.env, c)
-            if len(bucket) >= spec.n_per_class:
-                parts.append(rng.choice(bucket, size=spec.n_per_class, replace=False))
-            else:
+            short = len(bucket) < spec.n_per_class
+            if short:
                 log.warning(
                     "class %d has %d examples in env %s; sampling %d with replacement",
                     c, len(bucket), spec.env, spec.n_per_class,
                 )
-                parts.append(rng.choice(bucket, size=spec.n_per_class, replace=True))
+            parts.append(rng.choice(bucket, size=spec.n_per_class, replace=short))
         idx = np.concatenate(parts)
     else:
         total = spec.n_per_class * ds.n_classes
-        cover = []
-        for c in range(ds.n_classes):
-            bucket = _class_bucket(ds, spec.env, c)
-            cover.append(int(rng.choice(bucket)))
+        cover = [int(rng.choice(_class_bucket(ds, spec.env, c))) for c in range(ds.n_classes)]
         pool = ds.by_env[spec.env] if spec.env is not None else np.arange(len(ds))
         # pool is sorted and unique, so this is np.setdiff1d(pool, cover)
         keep = np.ones(len(ds), dtype=bool)
         keep[cover] = False
         remaining = pool[keep[pool]]
         fill_n = total - len(cover)
-        if fill_n == 0:
-            fill = np.array([], dtype=np.int64)
-        elif fill_n <= len(remaining):
+        if fill_n <= len(remaining):
             fill = rng.choice(remaining, size=fill_n, replace=False)
         else:
             log.warning("support pool smaller than requested size %d; filling with replacement", total)
             fill = rng.choice(pool, size=fill_n, replace=True)
-        idx = np.concatenate([np.array(cover, dtype=np.int64), fill.astype(np.int64)])
+        idx = np.concatenate([np.array(cover, dtype=np.int64), fill])
 
-    idx = idx.astype(np.int64)
-    return SupportBatch(
-        features=ds.X[idx],
-        onehot_labels=onehot(ds.y[idx], ds.n_classes),
-        source_envs=ds.e[idx],
-        source_indices=idx,
-    )
+    return idx.astype(np.int64)
 
 
 def sample_env_pair(
     ds: Dataset, n_per_class: int, query_labels, rng: Rng
-) -> tuple[SupportBatch, SupportBatch]:
-    """Two balanced supports conditioned on two distinct environments.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row indices of two balanced supports conditioned on two distinct
+    environments.
 
     The environment pair is uniform over unordered pairs; the two supports
     are drawn independently (datapoints may repeat across the pair).

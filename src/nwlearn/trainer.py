@@ -9,10 +9,10 @@ objective (``nw_implicit``) is read as: a query batch drawn from every
 training environment is scored against one environment's class-balanced
 support, the environments taken in a shuffled order per epoch.
 
-A training step draws its query batch as row indices of the dataset;
-``Variant.loss`` draws the row's supports (two for ``"pair"``, else one)
-and sends them through ``nw_loss``, or scores ERM's linear head. The step
-ends with one optimizer update.
+A training step draws its query batch and its row's supports (two for
+``"pair"``, else one) as row indices of the dataset; ``nw_loss`` gathers
+those rows for one forward pass and votes, or ERM scores its linear head.
+The step ends with one optimizer update.
 """
 
 from __future__ import annotations
@@ -67,16 +67,16 @@ class Variant:
         """(loss, penalty or None) of one step on the query rows
         ``query_batch`` (indices into ``ds``); ``env`` is the environment of
         an ``"env"`` support."""
-        qx, labels = ds.X[query_batch], ds.y[query_batch]
-        q_onehot = onehot(labels, ds.n_classes)
+        labels = ds.y[query_batch]
         if self.support is None:
-            return cross_entropy(head.predict_probs(net.extract(qx)), q_onehot), None
+            probs = head.predict_probs(net.extract(ds.X[query_batch]))
+            return cross_entropy(probs, onehot(labels, ds.n_classes)), None
         if self.support == "pair":
             supports = sample_env_pair(ds, n_c, labels, rng)
         else:
             spec = SupportSpec(balanced=self.balanced, env=env if self.support == "env" else None, n_per_class=n_c)
             supports = (sample_support(ds, spec, labels, rng),)
-        return nw_loss(net, qx, q_onehot, supports, lambda_)
+        return nw_loss(net, ds, query_batch, supports, lambda_)
 
 
 VARIANTS: dict[str, Variant] = {
@@ -109,6 +109,8 @@ class TrainConfig:
             raise ConfigError(f"unknown variant {self.variant!r}; choose from {tuple(VARIANTS)}")
         if VARIANTS[self.variant].support == "pair" and self.lambda_ <= 0:
             raise ConfigError(f"lambda_ must be positive for {self.variant}, got {self.lambda_}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.n_q < 1 or self.n_c < 1:
             raise ConfigError(f"n_q and n_c must be >= 1, got {self.n_q}, {self.n_c}")
         if self.max_epochs < 0 or self.eval_every < 0:
@@ -149,23 +151,24 @@ class ErmModel:
         return self.net.parameters() + self.head.parameters()
 
 
-def nw_loss(net: FeatureNet, query_x, query_onehot, supports, lambda_: float) -> tuple[Tensor, Tensor | None]:
-    """(loss, penalty or None) of one NW step on one or two supports of raw
-    inputs: one feature-net forward over the query rows and every support's
-    rows, one ``nw_predict`` vote per support, and the cross-entropy of the
-    vote on the first. Two supports add ``lambda_`` times the penalty, the
-    mean over queries of the squared L2 gap between the two votes (zero iff
-    they coincide)."""
-    feats, stop = net.extract(np.concatenate([query_x] + [s.features for s in supports])), len(query_x)
+def nw_loss(net: FeatureNet, ds: Dataset, query_rows, supports, lambda_: float) -> tuple[Tensor, Tensor | None]:
+    """(loss, penalty or None) of one NW step on the query rows and one or
+    two supports, all row indices into ``ds``: one feature-net forward over
+    the gathered rows, one ``nw_predict`` vote per support, and the
+    cross-entropy of the vote on the first. Two supports add ``lambda_``
+    times the penalty, the mean over queries of the squared L2 gap between
+    the two votes (zero iff they coincide)."""
+    feats, stop = net.extract(ds.X[np.concatenate([query_rows, *supports])]), len(query_rows)
     q_feats, preds = take_rows(feats, 0, stop), []
-    for s in supports:
-        start, stop = stop, stop + len(s)
-        preds.append(nw_predict(q_feats, s.with_features(take_rows(feats, start, stop))))
+    for rows in supports:
+        start, stop = stop, stop + len(rows)
+        preds.append(nw_predict(q_feats, take_rows(feats, start, stop), onehot(ds.y[rows], ds.n_classes)))
+    q_onehot = onehot(ds.y[query_rows], ds.n_classes)
     if len(preds) == 1:
-        return cross_entropy(preds[0], query_onehot), None
+        return cross_entropy(preds[0], q_onehot), None
     diff = sub(*preds)
-    penalty = scale(sum_all(mul(diff, diff)), 1.0 / len(query_x))
-    return add(cross_entropy(preds[0], query_onehot), scale(penalty, lambda_)), penalty
+    penalty = scale(sum_all(mul(diff, diff)), 1.0 / len(query_rows))
+    return add(cross_entropy(preds[0], q_onehot), scale(penalty, lambda_)), penalty
 
 
 def _evaluate(row: Variant, net: FeatureNet, head: LinearHead | None,

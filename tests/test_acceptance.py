@@ -5,7 +5,6 @@ one to two minutes each; everything else is seconds. Tolerances are pinned here 
 nowhere else.
 """
 
-import dataclasses
 import json
 import time
 
@@ -31,7 +30,7 @@ from nwlearn.scmgen import (
     spurious_benchmark,
     sufficiency_invariance_gap,
 )
-from nwlearn.support import SupportBatch, SupportSpec, sample_env_pair, sample_query_batch, sample_support
+from nwlearn.support import SupportSpec, sample_env_pair, sample_query_batch, sample_support
 from nwlearn.tensor import Tensor
 from nwlearn.trainer import VARIANTS, TrainConfig, nw_loss, train
 
@@ -62,8 +61,8 @@ def test_criterion_1_gradient_fidelity():
     err_implicit = grad_check(
         lambda: nw_loss(
             net,
-            ds.X[batch],
-            onehot(ds.y[batch], 2),
+            ds,
+            batch,
             (sample_support(ds, SupportSpec(balanced=True, env=0, n_per_class=2),
                             set(ds.y[batch]), Rng(4)),),
             lambda_=0.0,
@@ -89,19 +88,18 @@ def test_criterion_2_nw_head_invariants():
         feats = gen.normal(size=(n_s, dim))
         labels = gen.integers(0, c, size=n_s)
         labels[:c] = np.arange(c)
-        sup = SupportBatch(features=feats, onehot_labels=onehot(labels, c))
-        probs = nw_predict(Tensor(q), sup).data
+        probs = nw_predict(Tensor(q), feats, onehot(labels, c)).data
         worst_simplex = max(worst_simplex, float(np.abs(probs.sum(axis=1) - 1.0).max()),
                             float(-(probs.min())) if probs.min() < 0 else 0.0)
         perm = gen.permutation(n_s)
-        shuffled = SupportBatch(features=feats[perm], onehot_labels=onehot(labels[perm], c))
-        worst_perm = max(worst_perm, float(np.abs(nw_predict(Tensor(q), shuffled).data - probs).max()))
-        doubled = SupportBatch(features=np.concatenate([feats, feats]),
-                               onehot_labels=onehot(np.concatenate([labels, labels]), c))
-        worst_dup = max(worst_dup, float(np.abs(nw_predict(Tensor(q), doubled).data - probs).max()))
+        shuffled = nw_predict(Tensor(q), feats[perm], onehot(labels[perm], c)).data
+        worst_perm = max(worst_perm, float(np.abs(shuffled - probs).max()))
+        doubled = nw_predict(Tensor(q), np.concatenate([feats, feats]),
+                             onehot(np.concatenate([labels, labels]), c)).data
+        worst_dup = max(worst_dup, float(np.abs(doubled - probs).max()))
         shift = gen.normal(size=dim)
-        moved = SupportBatch(features=feats + shift, onehot_labels=onehot(labels, c))
-        worst_shift = max(worst_shift, float(np.abs(nw_predict(Tensor(q + shift), moved).data - probs).max()))
+        moved = nw_predict(Tensor(q + shift), feats + shift, onehot(labels, c)).data
+        worst_shift = max(worst_shift, float(np.abs(moved - probs).max()))
     elapsed = time.time() - start
     ok = (worst_simplex < 1e-9 and worst_perm < 1e-12 and worst_dup < 1e-12
           and worst_shift < 1e-12 and elapsed < 10.0)
@@ -115,19 +113,19 @@ def test_criterion_3_constraint_semantics():
     ds = _toy_dataset(n=40, seed=7)
     net = FeatureNet((3, 5, 2), Rng(8))
     batch = sample_query_batch(ds, 4, Rng(9))
-    qx, q_onehot = ds.X[batch], onehot(ds.y[batch], 2)
     s1, s2 = sample_env_pair(ds, 2, set(ds.y[batch]), Rng(10))
 
-    zero_pen = nw_loss(net, qx, q_onehot, (s1, s1), lambda_=1.0)[1].item()
-    diff_pen = nw_loss(net, qx, q_onehot, (s1, s2), lambda_=1.0)[1].item()
-    p1 = nw_predict(net.extract(qx), dataclasses.replace(s1, features=net.extract(s1.features))).data
-    p2 = nw_predict(net.extract(qx), dataclasses.replace(s2, features=net.extract(s2.features))).data
+    zero_pen = nw_loss(net, ds, batch, (s1, s1), lambda_=1.0)[1].item()
+    diff_pen = nw_loss(net, ds, batch, (s1, s2), lambda_=1.0)[1].item()
+    q_feats = net.extract(ds.X[batch])
+    p1 = nw_predict(q_feats, net.extract(ds.X[s1]), onehot(ds.y[s1], 2)).data
+    p2 = nw_predict(q_feats, net.extract(ds.X[s2]), onehot(ds.y[s2], 2)).data
     preds_differ = np.abs(p1 - p2).max() > 1e-9
 
     total, _ = VARIANTS["nw_explicit"].loss(net, None, ds, batch, n_c=2, lambda_=0.0, rng=Rng(11), env=None)
     rng = Rng(11)
     shared_s1, _ = sample_env_pair(ds, 2, set(ds.y[batch]), rng)
-    manual, _ = nw_loss(net, qx, q_onehot, (shared_s1,), lambda_=0.0)
+    manual, _ = nw_loss(net, ds, batch, (shared_s1,), lambda_=0.0)
 
     ok = (zero_pen == 0.0 and (diff_pen > 0.0) == preds_differ and preds_differ
           and total.item() == manual.item())
@@ -171,12 +169,12 @@ def test_criterion_4_sampler_contracts():
             with pytest.raises(CoverageError):
                 sample_support(ds, spec, query_labels, rng)
         else:
-            batch = sample_support(ds, spec, query_labels, rng)
-            counts = np.bincount(batch.labels, minlength=n_classes)
+            rows = sample_support(ds, spec, query_labels, rng)
+            counts = np.bincount(ds.y[rows], minlength=n_classes)
             assert (counts == n_per_class).all()
-            assert query_labels <= set(batch.labels.tolist())
+            assert query_labels <= set(ds.y[rows].tolist())
             if env is not None:
-                assert (batch.source_envs == env).all()
+                assert (ds.e[rows] == env).all()
         checked += 1
     report(4, checked == 1000, f"{checked} random dataset/spec pairs")
 
@@ -194,8 +192,7 @@ def test_criterion_5_inference_mode_reductions():
     q = gen.normal(size=(5, dim))
 
     knn_all = knn_predict(cache, q, k=n, exact=True)
-    unbalanced_full = nw_predict(
-        Tensor(q), SupportBatch(features=feats, onehot_labels=onehot(labels, c))).data
+    unbalanced_full = nw_predict(Tensor(q), feats, onehot(labels, c)).data
     gap_knn = float(np.abs(knn_all - unbalanced_full).max())
 
     full = predict(InferenceMode("full"), cache, q)

@@ -60,9 +60,13 @@ def test_config_validation(tmp_path):
         tiny_experiment(tmp_path, modes=("random", "random"))
     # bad training values fail at configuration, not once per seed
     for bad in (dict(optimizer="rmsprop"), dict(lr=-1.0), dict(eval_every=-3),
-                dict(feature_dim=0), dict(hidden_dims=(0,))):
+                dict(feature_dim=0), dict(hidden_dims=(0,)), dict(seed=-1)):
         with pytest.raises(ConfigError):
             TrainConfig(**bad)
+    # seeds and split sizes that numpy would reject fail at configuration
+    for bad in (dict(data_seed=-1), dict(n_train=-5), dict(n_val=0), dict(n_test=0)):
+        with pytest.raises(ConfigError):
+            tiny_experiment(tmp_path, **bad)
 
 
 def test_parse_mode():
@@ -210,10 +214,17 @@ def test_cli_train_rejects_bad_training_values_before_any_seed(tmp_path):
     ["eval", "--checkpoint", "{missing}"],
     ["neighbors", "--checkpoint", "{missing}"],
     ["train", "--config", "{missing}"],
+    ["train", "--seed", "-1"],
+    ["gen-data", "--seed", "-1"],
+    ["train", "--config", "{cfg}", "data_seed = -1"],
+    ["train", "--config", "{cfg}", "n_train = -5"],
 ])
 def test_cli_bad_outside_input_is_one_error_line(tmp_path, capsys, argv):
-    missing = str(tmp_path / "missing")
-    code = cli_main([arg.format(missing=missing) for arg in argv] + ["--out", str(tmp_path / "run")])
+    missing, cfg = str(tmp_path / "missing"), tmp_path / "bad.cfg"
+    if "{cfg}" in argv:  # the last item is the config file's one line
+        *argv, line = argv
+        cfg.write_text(line + "\n")
+    code = cli_main([arg.format(missing=missing, cfg=cfg) for arg in argv] + ["--out", str(tmp_path / "run")])
     assert code == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
@@ -258,6 +269,18 @@ def test_cli_gen_data_and_summarize(tmp_path, capsys):
         # the sweep trains its own two variants and scores their selection modes
         config = json.loads((run / summary).read_text())["config"]
         assert {"variant", "modes"} & config.keys() == ({"variant", "modes"} if command == "train" else set())
+
+
+def test_cli_gen_data_seed_is_the_data_seed(tmp_path):
+    def train_csv(name, cfg_text, *argv):
+        cfg_file, out = tmp_path / f"{name}.cfg", tmp_path / name
+        cfg_file.write_text(TINY_CFG + cfg_text)
+        assert cli_main(["gen-data", "--config", str(cfg_file), "--out", str(out), *argv]) == 0
+        return (out / "train.csv").read_bytes()
+
+    seed_3 = train_csv("seed_3", "", "--seed", "3")
+    assert train_csv("seed_0", "", "--seed", "0") != seed_3
+    assert train_csv("data_seed_3", "data_seed = 3\n") == seed_3
 
 
 def test_cli_summarize_keeps_runs_under_one_root_apart(tmp_path, capsys):

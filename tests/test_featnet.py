@@ -175,3 +175,13 @@ def test_from_weights_rejects_a_bad_bias_shape():
         FeatureNet.from_weights((3, 2), [np.zeros((3, 2))], [np.zeros(3)])
     with pytest.raises(ConfigError):
         FeatureNet.from_weights((3, 2), [np.zeros((3, 2))], [np.zeros((1, 2))])
+
+
+@pytest.mark.parametrize("dims", [(16, 0), (0, 4), (3, 0, 2), (5,)])
+def test_from_weights_rejects_the_layer_dims_that_construction_rejects(dims):
+    weights = [np.zeros((din, dout)) for din, dout in zip(dims[:-1], dims[1:])]
+    biases = [np.zeros(dout) for dout in dims[1:]]
+    with pytest.raises(ConfigError, match="layer_dims"):
+        FeatureNet(dims, Rng(0))
+    with pytest.raises(ConfigError, match="layer_dims"):
+        FeatureNet.from_weights(dims, weights, biases)

@@ -5,7 +5,7 @@ import pytest
 
 from nwlearn import Rng
 from nwlearn.data import Dataset, LabeledExample
-from nwlearn.errors import ConfigError, ContractError, CoverageError
+from nwlearn.errors import ConfigError, ContractError, CoverageError, DomainError
 from nwlearn.featnet import FeatureNet
 from nwlearn.infer import (
     FeatureCache,
@@ -19,13 +19,12 @@ from nwlearn.infer import (
 from nwlearn.kmeans import kmeans
 from nwlearn.nwhead import _VOTE_BLOCK, nw_predict, nw_vote, nw_vote_shared, onehot
 from nwlearn.scmgen import spurious_benchmark
-from nwlearn.support import SupportBatch, SupportSpec, sample_support
+from nwlearn.support import SupportSpec, sample_support
 from nwlearn.tensor import Tensor, softmax, sqdist
 
 
 def nw_head(q, feats, labels, n_classes):
-    support = SupportBatch(features=feats, onehot_labels=onehot(labels, n_classes))
-    return nw_predict(Tensor(q), support).data
+    return nw_predict(Tensor(q), feats, onehot(labels, n_classes)).data
 
 
 def make_cache(n=60, dim=5, n_classes=3, n_envs=2, seed=0, balanced=False):
@@ -133,9 +132,9 @@ def test_random_mode_draws_a_short_class_with_replacement_through_the_sampler(ca
     warnings = [rec for rec in caplog.records if rec.levelname == "WARNING"]
     assert [rec.name for rec in warnings] == ["nwlearn.support"]
     assert "with replacement" in warnings[0].getMessage()
-    s = sample_support(cache, SupportSpec(n_per_class=3), (), Rng(46))
-    assert list(s.source_indices[6:]) == [12, 12, 12]
-    assert np.array_equal(got, nw_vote_shared(q, s.features, s.onehot_labels))
+    rows = sample_support(cache, SupportSpec(n_per_class=3), (), Rng(46))
+    assert list(rows[6:]) == [12, 12, 12]
+    assert np.array_equal(got, nw_vote_shared(q, cache.features[rows], onehot(cache.labels[rows], 3)))
 
 
 def test_ensemble_env_missing_a_class_votes_balanced_over_its_own_rows(caplog):
@@ -240,13 +239,7 @@ def test_knn_k_equals_cache_size_matches_unbalanced_full():
     cache = make_cache(seed=18)
     q = np.random.default_rng(19).normal(size=(6, 5))
     got = knn_predict(cache, q, k=len(cache), exact=True)
-    support = SupportBatch(
-        features=cache.features,
-        onehot_labels=onehot(cache.labels, cache.n_classes),
-        source_envs=cache.envs,
-        source_indices=np.arange(len(cache)),
-    )
-    expected = nw_predict(Tensor(q), support).data
+    expected = nw_predict(Tensor(q), cache.features, onehot(cache.labels, cache.n_classes)).data
     assert np.abs(got - expected).max() < 1e-9
 
 
@@ -428,6 +421,21 @@ def test_probe_mode_requires_head():
     cache = make_cache()
     with pytest.raises(ContractError):
         predict(InferenceMode("probe"), cache, np.zeros((1, 5)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("call", ["random", "full", "ensemble", "cluster", "knn", "knn_all", "hnsw", "probe",
+                                  "dump_neighbors"])
+def test_non_finite_query_features_raise_domain_error(call, bad):
+    cache = make_cache(seed=27)
+    q = np.random.default_rng(28).normal(size=(4, 5))
+    q[2, 1] = bad
+    with pytest.raises(DomainError):
+        if call == "dump_neighbors":
+            dump_neighbors(cache, q, top_k=5)
+        else:
+            mode = InferenceMode("knn", len(cache)) if call == "knn_all" else InferenceMode(call)
+            predict(mode, cache, q, rng=Rng(29), probe=train_probe(cache, epochs=0))
 
 
 def test_dump_neighbors_sorted_and_matches_bruteforce():

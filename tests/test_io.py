@@ -1,11 +1,13 @@
+import struct
+
 import numpy as np
 import pytest
 
 from nwlearn import Rng
 from nwlearn.data import Dataset, LabeledExample
-from nwlearn.errors import FormatError, ParseError
+from nwlearn.errors import ConfigError, FormatError, ParseError
 from nwlearn.featnet import FeatureNet, LinearHead
-from nwlearn.io import load_checkpoint, load_csv, save_checkpoint, save_csv
+from nwlearn.io import CHECKPOINT_MAGIC, CHECKPOINT_VERSION, load_checkpoint, load_csv, save_checkpoint, save_csv
 from nwlearn.scmgen import spurious_benchmark
 
 
@@ -171,4 +173,13 @@ def test_wrong_version_rejected(tmp_path):
     blob[4:8] = (99).to_bytes(4, "little")
     path.write_bytes(bytes(blob))
     with pytest.raises(FormatError):
+        load_checkpoint(path)
+
+
+def test_checkpoint_with_a_zero_width_layer_rejected(tmp_path):
+    # dims (16, 0): a (16, 0) weight and a (0,) bias hold no bytes
+    path = tmp_path / "zero.nwck"
+    path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<IIII", CHECKPOINT_VERSION, 2, 16, 0)
+                     + struct.pack("<II", 0, 2) + b"{}")
+    with pytest.raises(ConfigError, match="layer_dims"):
         load_checkpoint(path)

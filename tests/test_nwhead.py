@@ -5,19 +5,8 @@ from nwlearn import Rng, grad_check
 from nwlearn.errors import ContractError, DomainError, ShapeError
 from nwlearn.featnet import FeatureNet
 from nwlearn.nwhead import cross_entropy, nw_predict, onehot
-from nwlearn.support import SupportBatch
 from nwlearn.tensor import Tape, Tensor, backward, matmul, mul, scale, softmax_rows, sqdist, sum_all, take_rows
 from taped_ops import log, shift, similarity
-
-
-def _support(feats, labels, n_classes=2):
-    feats = np.asarray(feats, dtype=float)
-    return SupportBatch(
-        features=feats,
-        onehot_labels=onehot(labels, n_classes),
-        source_envs=np.zeros(len(labels), dtype=np.int64),
-        source_indices=np.arange(len(labels)),
-    )
 
 
 def test_similarity_zero_distance():
@@ -39,34 +28,25 @@ def test_similarity_symmetric():
 
 
 def test_single_support_element_forces_its_class():
-    sup = _support([[5.0, 5.0]], [0], n_classes=3)
-    probs = nw_predict(Tensor([[0.0, 0.0]]), sup).data
+    probs = nw_predict(Tensor([[0.0, 0.0]]), np.array([[5.0, 5.0]]), onehot([0], 3)).data
     assert probs.tolist() == [[1.0, 0.0, 0.0]]
 
 
 def test_equidistant_two_class_support_gives_half_half():
-    sup = _support([[1.0, 0.0], [-1.0, 0.0]], [0, 1])
-    probs = nw_predict(Tensor([[0.0, 0.0]]), sup).data
+    probs = nw_predict(Tensor([[0.0, 0.0]]), np.array([[1.0, 0.0], [-1.0, 0.0]]), onehot([0, 1], 2)).data
     assert probs == pytest.approx(np.array([[0.5, 0.5]]))
 
 
 def test_analytic_softmax_value():
     # class 0 at distance 0, class 1 at distance ln 3: e^0/(e^0 + e^-ln3) = 0.75
     d = np.log(3.0)
-    sup = _support([[0.0], [d]], [0, 1])
-    probs = nw_predict(Tensor([[0.0]]), sup).data
+    probs = nw_predict(Tensor([[0.0]]), np.array([[0.0], [d]]), onehot([0, 1], 2)).data
     assert probs == pytest.approx(np.array([[0.75, 0.25]]), abs=1e-12)
 
 
 def test_empty_support_rejected():
-    sup = SupportBatch(
-        features=np.zeros((0, 2)),
-        onehot_labels=np.zeros((0, 2)),
-        source_envs=np.zeros(0, dtype=np.int64),
-        source_indices=np.zeros(0, dtype=np.int64),
-    )
     with pytest.raises(ContractError):
-        nw_predict(Tensor(np.zeros((1, 2))), sup)
+        nw_predict(Tensor(np.zeros((1, 2))), np.zeros((0, 2)), np.zeros((0, 2)))
 
 
 def _random_case(rng, n_q=4, n_s=12, dim=3, n_classes=3):
@@ -74,47 +54,30 @@ def _random_case(rng, n_q=4, n_s=12, dim=3, n_classes=3):
     s = rng.normal(size=(n_s, dim))
     labels = rng.integers(0, n_classes, size=n_s)
     labels[:n_classes] = np.arange(n_classes)  # every class present
-    return q, _support(s, labels, n_classes)
+    return q, s, onehot(labels, n_classes)
 
 
 @pytest.mark.parametrize("seed", range(100))
 def test_simplex_permutation_duplication_translation_invariance(seed):
     rng = np.random.default_rng(seed)
-    q, sup = _random_case(rng)
-    probs = nw_predict(Tensor(q), sup).data
+    q, s, labels = _random_case(rng)
+    probs = nw_predict(Tensor(q), s, labels).data
 
     # valid simplex rows
     assert (probs >= 0).all()
     assert np.abs(probs.sum(axis=1) - 1.0).max() < 1e-9
 
     # permuting support rows changes nothing
-    perm = rng.permutation(len(sup))
-    shuffled = SupportBatch(
-        features=np.asarray(sup.features)[perm],
-        onehot_labels=sup.onehot_labels[perm],
-        source_envs=sup.source_envs[perm],
-        source_indices=sup.source_indices[perm],
-    )
-    assert np.abs(nw_predict(Tensor(q), shuffled).data - probs).max() < 1e-12
+    perm = rng.permutation(len(s))
+    assert np.abs(nw_predict(Tensor(q), s[perm], labels[perm]).data - probs).max() < 1e-12
 
     # duplicating the whole support changes nothing
-    doubled = SupportBatch(
-        features=np.concatenate([sup.features, sup.features]),
-        onehot_labels=np.concatenate([sup.onehot_labels, sup.onehot_labels]),
-        source_envs=np.concatenate([sup.source_envs, sup.source_envs]),
-        source_indices=np.concatenate([sup.source_indices, sup.source_indices]),
-    )
-    assert np.abs(nw_predict(Tensor(q), doubled).data - probs).max() < 1e-12
+    doubled = nw_predict(Tensor(q), np.concatenate([s, s]), np.concatenate([labels, labels]))
+    assert np.abs(doubled.data - probs).max() < 1e-12
 
     # translating every feature by a shared vector changes nothing
     shift = rng.normal(size=q.shape[1])
-    moved = SupportBatch(
-        features=np.asarray(sup.features) + shift,
-        onehot_labels=sup.onehot_labels,
-        source_envs=sup.source_envs,
-        source_indices=sup.source_indices,
-    )
-    assert np.abs(nw_predict(Tensor(q + shift), moved).data - probs).max() < 1e-12
+    assert np.abs(nw_predict(Tensor(q + shift), s + shift, labels).data - probs).max() < 1e-12
 
 
 def test_cross_entropy_perfect_prediction_is_zero():
@@ -141,8 +104,7 @@ def test_nw_cross_entropy_gradients_match_finite_differences():
     q_labels = onehot([1, 0, 1], 2)
 
     def f():
-        sup = SupportBatch(features=net.extract(sx), onehot_labels=sup_labels)
-        return cross_entropy(nw_predict(net.extract(qx), sup), q_labels)
+        return cross_entropy(nw_predict(net.extract(qx), net.extract(sx), sup_labels), q_labels)
 
     assert grad_check(f, net.parameters(), eps=1e-5) < 1e-4
 
@@ -172,10 +134,6 @@ def _values_and_grads(q, s, labels, q_labels, predict, ce, upstream):
     return probs, ce_value, ce_gq, ce_gs, up_gq, up_gs
 
 
-def _fused(q, s, labels):
-    return nw_predict(q, SupportBatch(features=s, onehot_labels=labels))
-
-
 @pytest.mark.parametrize("case", ["random", "query_on_support_row", "one_row_support", "one_query"])
 def test_fused_nw_predict_and_cross_entropy_match_the_composite_chain(case):
     gen = np.random.default_rng(40)
@@ -192,7 +150,7 @@ def test_fused_nw_predict_and_cross_entropy_match_the_composite_chain(case):
         labels = onehot(gen.integers(0, c, size=m), c)
         q_labels = onehot(gen.integers(0, c, size=nq), c)
         upstream = gen.normal(size=(nq, c))
-        fused = _values_and_grads(q, s, labels, q_labels, _fused, cross_entropy, upstream)
+        fused = _values_and_grads(q, s, labels, q_labels, nw_predict, cross_entropy, upstream)
         composite = _values_and_grads(q, s, labels, q_labels, _composite_nw_predict,
                                       _composite_cross_entropy, upstream)
         for got, want in zip(fused, composite):

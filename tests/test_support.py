@@ -3,9 +3,9 @@ import pytest
 
 from nwlearn import Rng
 from nwlearn.data import Dataset, LabeledExample
-from nwlearn.errors import ConfigError, ContractError, CoverageError
+from nwlearn.errors import ConfigError, ContractError, CoverageError, ShapeError
+from nwlearn.nwhead import nw_predict
 from nwlearn.support import (
-    SupportBatch,
     SupportSpec,
     sample_balanced_query_batch,
     sample_env_pair,
@@ -35,15 +35,15 @@ def make_dataset(rng, n=60, n_classes=3, n_envs=2, dim=4, skip=()):
 
 def test_balanced_counts():
     ds = make_dataset(np.random.default_rng(0))
-    batch = sample_support(ds, SupportSpec(balanced=True, n_per_class=2), {0, 1, 2}, Rng(1))
-    assert len(batch) == 6
-    assert np.bincount(batch.labels, minlength=3).tolist() == [2, 2, 2]
+    rows = sample_support(ds, SupportSpec(balanced=True, n_per_class=2), {0, 1, 2}, Rng(1))
+    assert rows.dtype == np.int64 and len(rows) == 6
+    assert np.bincount(ds.y[rows], minlength=3).tolist() == [2, 2, 2]
 
 
 def test_env_conditioning_filters_rows():
     ds = make_dataset(np.random.default_rng(1))
-    batch = sample_support(ds, SupportSpec(balanced=True, env=1, n_per_class=3), {0}, Rng(2))
-    assert (batch.source_envs == 1).all()
+    rows = sample_support(ds, SupportSpec(balanced=True, env=1, n_per_class=3), {0}, Rng(2))
+    assert (ds.e[rows] == 1).all()
 
 
 def test_empty_bucket_raises_coverage_error_with_pair():
@@ -79,44 +79,38 @@ def test_small_bucket_samples_with_replacement():
     for _ in range(10):
         examples.append(LabeledExample(x=np.ones(2), y=1, e=0))
     ds = Dataset(examples, n_classes=2)
-    batch = sample_support(ds, SupportSpec(balanced=True, n_per_class=4), {0, 1}, Rng(6))
-    assert np.bincount(batch.labels, minlength=2).tolist() == [4, 4]
+    rows = sample_support(ds, SupportSpec(balanced=True, n_per_class=4), {0, 1}, Rng(6))
+    assert np.bincount(ds.y[rows], minlength=2).tolist() == [4, 4]
 
 
 def test_unbalanced_covers_every_class_then_fills():
     ds = make_dataset(np.random.default_rng(5), n=200)
-    batch = sample_support(ds, SupportSpec(balanced=False, n_per_class=8), {0, 1, 2}, Rng(7))
-    assert len(batch) == 24
-    counts = np.bincount(batch.labels, minlength=3)
+    rows = sample_support(ds, SupportSpec(balanced=False, n_per_class=8), {0, 1, 2}, Rng(7))
+    assert len(rows) == 24
+    counts = np.bincount(ds.y[rows], minlength=3)
     assert (counts >= 1).all()
     # fill is without replacement: no duplicate rows
-    assert len(np.unique(batch.source_indices)) == len(batch)
+    assert len(np.unique(rows)) == len(rows)
 
 
 def test_balanced_support_label_distribution_is_uniform():
     ds = make_dataset(np.random.default_rng(7), n=300)
-    batch = sample_support(ds, SupportSpec(balanced=True, n_per_class=50), {0}, Rng(9))
-    counts = np.bincount(batch.labels, minlength=3)
+    rows = sample_support(ds, SupportSpec(balanced=True, n_per_class=50), {0}, Rng(9))
+    counts = np.bincount(ds.y[rows], minlength=3)
     assert counts.tolist() == [50, 50, 50]
 
 
-def test_batches_built_from_outside_are_validated_and_rebinding_keeps_the_rest():
+def test_supports_built_from_outside_are_validated():
     with pytest.raises(ContractError):
-        SupportBatch(features=np.zeros((2, 3)), onehot_labels=np.array([[1.0, 1.0], [0.0, 1.0]]))
-    with pytest.raises(ContractError):
-        SupportBatch(features=np.zeros((2, 3)), onehot_labels=np.eye(2), source_envs=np.zeros(3))
-    sup = sample_support(make_dataset(np.random.default_rng(15)), SupportSpec(n_per_class=2), [0], Rng(16))
-    feats = np.ones((len(sup), 5))
-    bound = sup.with_features(feats)
-    assert bound.features is feats and sup.features is not feats
-    for name in ("onehot_labels", "source_envs", "source_indices"):
-        assert getattr(bound, name) is getattr(sup, name)
+        nw_predict(np.zeros((1, 3)), np.zeros((2, 3)), np.array([[1.0, 1.0], [0.0, 1.0]]))
+    with pytest.raises(ShapeError):
+        nw_predict(np.zeros((1, 3)), np.zeros((2, 3)), np.eye(3))
 
 
 def test_env_pair_distinct_envs():
     ds = make_dataset(np.random.default_rng(8), n_envs=2)
     a, b = sample_env_pair(ds, 2, {0, 1, 2}, Rng(10))
-    ea, eb = set(a.source_envs.tolist()), set(b.source_envs.tolist())
+    ea, eb = set(ds.e[a].tolist()), set(ds.e[b].tolist())
     assert len(ea) == 1 and len(eb) == 1
     assert ea != eb
 
@@ -134,7 +128,7 @@ def test_env_pair_frequencies_uniform_chi_square():
     counts = {}
     for _ in range(3000):
         a, b = sample_env_pair(ds, 1, {0, 1, 2}, rng)
-        pair = frozenset((int(a.source_envs[0]), int(b.source_envs[0])))
+        pair = frozenset((int(ds.e[a[0]]), int(ds.e[b[0]])))
         counts[pair] = counts.get(pair, 0) + 1
     assert len(counts) == 3
     expected = 1000.0
@@ -219,12 +213,12 @@ def test_sampler_contracts_property_sweep():
             with pytest.raises(CoverageError):
                 sample_support(ds, spec, query_labels, rng)
             continue
-        batch = sample_support(ds, spec, query_labels, rng)
-        counts = np.bincount(batch.labels, minlength=n_classes)
+        rows = sample_support(ds, spec, query_labels, rng)
+        counts = np.bincount(ds.y[rows], minlength=n_classes)
         assert (counts == n_per_class).all()
-        assert query_labels <= set(batch.labels.tolist())
+        assert query_labels <= set(ds.y[rows].tolist())
         if env is not None:
-            assert (batch.source_envs == env).all()
+            assert (ds.e[rows] == env).all()
 
 
 def _setdiff_unbalanced_draw(ds, spec, rng):
@@ -251,8 +245,8 @@ def test_unbalanced_draw_matches_setdiff_form(env, n, n_per_class):
     if env is not None:
         assert (len(ds.by_env[env]) < n_per_class * ds.n_classes) == (n < 100)
     for seed in range(20):
-        batch = sample_support(ds, spec, {0, 1, 2}, Rng(seed))
-        assert np.array_equal(batch.source_indices, _setdiff_unbalanced_draw(ds, spec, Rng(seed)))
+        rows = sample_support(ds, spec, {0, 1, 2}, Rng(seed))
+        assert np.array_equal(rows, _setdiff_unbalanced_draw(ds, spec, Rng(seed)))
 
 
 def test_query_batches_are_int64_row_indices():

@@ -1,4 +1,3 @@
-import dataclasses
 
 import numpy as np
 import pytest
@@ -25,8 +24,8 @@ def toy_dataset(n=120, n_envs=2, dim=4, seed=0, separation=1.5):
     return Dataset(examples, n_classes=2)
 
 
-def _numpy_vote(net, qx, support):
-    """The NW vote of the query rows on a support of raw inputs, with the
+def _numpy_vote(net, ds, query_rows, support_rows):
+    """The NW vote of the query rows of ``ds`` on its support rows, with the
     feature net and the kernel written out in plain numpy."""
     def forward(x):
         h = x
@@ -36,13 +35,13 @@ def _numpy_vote(net, qx, support):
                 h = np.maximum(h, 0.0)
         return h
 
-    qf, sf = forward(qx), forward(support.features)
+    qf, sf = forward(ds.X[query_rows]), forward(ds.X[support_rows])
     d = np.sqrt(np.maximum(
         (qf * qf).sum(1)[:, None] + (sf * sf).sum(1)[None, :] - 2 * qf @ sf.T, 0.0))
     logits = -d - (-d).max(axis=1, keepdims=True)
     w = np.exp(logits)
     w /= w.sum(axis=1, keepdims=True)
-    return w @ support.onehot_labels
+    return w @ onehot(ds.y[support_rows], ds.n_classes)
 
 
 def test_config_validation():
@@ -81,7 +80,7 @@ def test_loss_implicit_matches_straight_line_reevaluation():
 
     support = sample_support(ds, SupportSpec(balanced=True, env=env, n_per_class=4),
                              set(ds.y[batch]), Rng(6))
-    probs = _numpy_vote(net, ds.X[batch], support)
+    probs = _numpy_vote(net, ds, batch, support)
     expect = -np.mean([np.log(probs[i, y] + 1e-15) for i, y in enumerate(ds.y[batch])])
     assert loss.item() == pytest.approx(expect, abs=1e-10)
 
@@ -96,7 +95,7 @@ def test_loss_explicit_matches_straight_line_reevaluation():
     loss, penalty = VARIANTS["nw_explicit"].loss(net, None, ds, batch, n_c=4, lambda_=lam, rng=Rng(45), env=None)
 
     support_a, support_b = sample_env_pair(ds, 4, ds.y[batch], Rng(45))
-    pa, pb = _numpy_vote(net, ds.X[batch], support_a), _numpy_vote(net, ds.X[batch], support_b)
+    pa, pb = _numpy_vote(net, ds, batch, support_a), _numpy_vote(net, ds, batch, support_b)
     gap = ((pa - pb) ** 2).sum(axis=1).mean()
     ce = -np.mean([np.log(pa[i, y] + 1e-15) for i, y in enumerate(ds.y[batch])])
     assert gap > 0.0
@@ -108,16 +107,16 @@ def test_explicit_penalty_zero_iff_predictions_coincide():
     ds = toy_dataset(seed=7)
     net = FeatureNet((4, 6, 2), Rng(8))
     batch = sample_query_batch(ds, 4, Rng(9))
-    qx, q_onehot = ds.X[batch], onehot(ds.y[batch], 2)
     s1, s2 = sample_env_pair(ds, 3, set(ds.y[batch]), Rng(10))
 
     # identical supports -> identical predictions -> exactly zero
-    assert nw_loss(net, qx, q_onehot, (s1, s1), lambda_=1.0)[1].item() == 0.0
+    assert nw_loss(net, ds, batch, (s1, s1), lambda_=1.0)[1].item() == 0.0
 
     # differing supports -> differing predictions -> strictly positive
-    penalty = nw_loss(net, qx, q_onehot, (s1, s2), lambda_=1.0)[1].item()
-    p1 = nw_predict(net.extract(qx), dataclasses.replace(s1, features=net.extract(s1.features))).data
-    p2 = nw_predict(net.extract(qx), dataclasses.replace(s2, features=net.extract(s2.features))).data
+    penalty = nw_loss(net, ds, batch, (s1, s2), lambda_=1.0)[1].item()
+    q_feats = net.extract(ds.X[batch])
+    p1 = nw_predict(q_feats, net.extract(ds.X[s1]), onehot(ds.y[s1], 2)).data
+    p2 = nw_predict(q_feats, net.extract(ds.X[s2]), onehot(ds.y[s2], 2)).data
     assert penalty == pytest.approx(((p1 - p2) ** 2).sum(axis=1).mean(), abs=1e-12)
     if np.abs(p1 - p2).max() > 1e-12:
         assert penalty > 0.0
@@ -147,8 +146,7 @@ def test_explicit_lambda_zero_reduces_to_implicit_on_shared_draw():
 
     rng = Rng(18)
     s1, _ = sample_env_pair(ds, 3, set(ds.y[batch]), rng)
-    qx = ds.X[batch]
-    manual, _ = nw_loss(net, qx, onehot(ds.y[batch], 2), (s1,), lambda_=0.0)
+    manual, _ = nw_loss(net, ds, batch, (s1,), lambda_=0.0)
     assert total.item() == manual.item()
 
 
