@@ -180,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metric")
     p.set_defaults(fn=_cmd_eval)
 
-    p = sub.add_parser("neighbors", parents=[seeded], help="dump nearest neighbors + env histogram")
+    p = sub.add_parser("neighbors", parents=[common], help="dump nearest neighbors + env histogram")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--top-k", dest="top_k", type=int, default=20)
     p.set_defaults(fn=_cmd_neighbors)
@@ -191,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-epochs", dest="max_epochs", type=int)
     p.set_defaults(fn=_cmd_sweep)
 
-    p = sub.add_parser("summarize", parents=[seeded], help="aggregate metrics records")
+    p = sub.add_parser("summarize", help="aggregate metrics records")
     p.add_argument("--dir", required=True)
     p.set_defaults(fn=_cmd_summarize)
 

@@ -2,7 +2,10 @@
 
 Relu on every layer but the last. The whole net is one taped node whenever
 the input or a parameter sits on a live tape; otherwise extraction is a
-pure numpy evaluation that keeps no intermediate.
+pure numpy evaluation that keeps no intermediate. Untaped, the layers run
+over blocks of rows whose hidden temporaries stay under glibc's default
+128 KiB mmap threshold, so the heap reuses them where whole-input layers
+would be fresh pages, faulted in on every call.
 """
 
 from __future__ import annotations
@@ -15,6 +18,10 @@ from .tensor import Tensor, _live_tape, _result, add, matmul, softmax_rows
 
 DEFAULT_HIDDEN_DIMS = (64, 64)
 DEFAULT_FEATURE_DIM = 16
+
+# bytes of one hidden temporary of the untaped forward: half of glibc's
+# default 128 KiB mmap threshold, which is 128 rows at the default dims
+_BLOCK_BYTES = 64 * 1024
 
 
 def _checked_dims(layer_dims) -> list[int]:
@@ -83,23 +90,22 @@ class FeatureNet:
         taped node exactly when the input or a parameter is on a live tape.
         The node keeps the post-relu activations, and its VJP runs the
         matmul/add/relu chain in reverse, bit for bit. Untaped, the layers
-        run in place and keep nothing.
+        run in place over blocks of rows (``_BLOCK_BYTES`` per hidden
+        temporary) into one (n, feature_dim) output and keep nothing. A
+        1-row tail joins the block before it: BLAS takes another kernel for
+        one row, while GEMM rows from two rows up match the whole-input
+        product bit for bit.
         """
         x = inputs if isinstance(inputs, Tensor) else Tensor(np.atleast_2d(inputs))
         if x.data.ndim != 2 or x.shape[1] != self.input_dim:
             raise ShapeError(f"extract: inputs {x.shape} do not match input_dim {self.input_dim}")
         params = self.parameters()
-        taped, x_taped = _live_tape(x, *params) is not None, _live_tape(x) is not None
-        acts, h, last = [x.data], x.data, len(self.weights) - 1
+        if _live_tape(x, *params) is None:
+            return Tensor(self._untaped(x.data))
+        x_taped, last = _live_tape(x) is not None, len(self.weights) - 1
+        acts = [x.data]
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w.data
-            h += b.data
-            if i != last:
-                if not np.isfinite(h).all():
-                    raise DomainError(f"extract: non-finite pre-activation in layer {i}")
-                np.maximum(h, 0.0, out=h)
-                if taped:
-                    acts.append(h)
+            acts.append(_layer(acts[-1], w.data, b.data, i, i != last))
 
         def vjp(g):
             grads = []
@@ -111,7 +117,33 @@ class FeatureNet:
                     g = g @ self.weights[i].data.T
             return ([g] if x_taped else []) + grads[::-1]
 
-        return _result(h, (x, *params) if x_taped else tuple(params), vjp)
+        return _result(acts[-1], (x, *params) if x_taped else tuple(params), vjp)
+
+    def _untaped(self, x: np.ndarray) -> np.ndarray:
+        n, last = len(x), len(self.weights) - 1
+        out = np.empty((n, self.feature_dim))
+        rows = max(2, _BLOCK_BYTES // (8 * max(self.layer_dims[1:])))
+        bounds = list(range(0, n, rows)) + [n]
+        if len(bounds) > 2 and n - bounds[-2] == 1:
+            del bounds[-2]
+        for start, stop in zip(bounds[:-1], bounds[1:]):
+            h = x[start:stop]
+            for i in range(last):
+                h = _layer(h, self.weights[i].data, self.biases[i].data, i, True)
+            h = np.matmul(h, self.weights[last].data, out=out[start:stop])
+            h += self.biases[last].data
+        return out
+
+
+def _layer(h: np.ndarray, w: np.ndarray, b: np.ndarray, i: int, relu: bool) -> np.ndarray:
+    """``h @ w + b`` in one new array, then the checked relu of layer ``i``."""
+    h = h @ w
+    h += b
+    if relu:
+        if not np.isfinite(h).all():
+            raise DomainError(f"extract: non-finite pre-activation in layer {i}")
+        np.maximum(h, 0.0, out=h)
+    return h
 
 
 class LinearHead:

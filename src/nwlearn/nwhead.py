@@ -10,6 +10,8 @@ checks that the labels are one-hot. Inference votes on plain arrays:
 class-weighted, and ``nw_vote`` over a support given per query (k nearest
 neighbours). ``nw_vote_shared`` takes its distances from one GEMM over
 augmented rows into one buffer: within the last ulp of a vote on ``sqdist``.
+It exponentiates -distance without a per-row min shift unless a block's
+norms allow a distance above ``_SHIFT_BOUND``, where exp could underflow.
 """
 
 from __future__ import annotations
@@ -26,6 +28,10 @@ _CE_EPS = 1e-15
 # float64 buffer; in traced train_nw (seed 3, 5 alternating runs, one BLAS
 # thread, 2-core Xeon) infer.predict.full.s read 0.436 s at 32, 0.441 s at 64
 _VOTE_BLOCK = 32
+
+# distance below which nw_vote_shared needs no shift: exp(-700) ~ 1e-304 is
+# still a normal double, so no weight and no row sum can underflow
+_SHIFT_BOUND = 700.0
 
 
 def nw_predict(query_feats, support_feats, onehot_labels) -> Tensor:
@@ -75,8 +81,11 @@ def nw_vote_shared(q: np.ndarray, feats: np.ndarray, onehot_labels: np.ndarray,
     the weight is constant within a class. Per block of ``_VOTE_BLOCK``
     queries, one GEMM of [q, ||q||^2, 1] with [-2 F^T; 1; ||f||^2] writes
     the squared distances into one reused (block, m) buffer, which is
-    clipped at 0, turned into exp(min distance - distance) and summed per
-    class by a second GEMM: within the last ulp of a vote on ``sqdist``.
+    clipped at 0, turned into exp(shift - distance) and summed per class by
+    a second GEMM: within the last ulp of a vote on ``sqdist``. The shift
+    is 0 unless the block's bound on every distance, max ||q|| + max ||f||
+    from the squared norms in the augmented rows, exceeds ``_SHIFT_BOUND``;
+    then it is each row's min distance.
     """
     out = np.empty((len(q), onehot_labels.shape[1]))
     support, queries = np.empty((feats.shape[1] + 2, len(feats))), np.empty((len(q), q.shape[1] + 2))
@@ -84,12 +93,14 @@ def nw_vote_shared(q: np.ndarray, feats: np.ndarray, onehot_labels: np.ndarray,
     support[-2], support[-1] = 1.0, (feats * feats).sum(axis=1)
     queries[:, :-2], queries[:, -2], queries[:, -1] = q, (q * q).sum(axis=1), 1.0
     w_buf = np.empty((min(len(q), _VOTE_BLOCK), len(feats)))
+    max_f_norm = np.sqrt(support[-1].max(initial=0.0))
     for start in range(0, len(q), _VOTE_BLOCK):
         block = queries[start:start + _VOTE_BLOCK]
         w = np.matmul(block, support, out=w_buf[:len(block)])
         np.maximum(w, 0.0, out=w)
         np.sqrt(w, out=w)
-        np.subtract(w.min(axis=1, keepdims=True), w, out=w)
+        far = np.sqrt(block[:, -2].max()) + max_f_norm > _SHIFT_BOUND
+        np.subtract(w.min(axis=1, keepdims=True) if far else 0.0, w, out=w)
         np.exp(w, out=w)
         votes = np.matmul(w, onehot_labels, out=out[start:start + len(block)])
         if class_weights is not None:

@@ -119,6 +119,8 @@ class TrainConfig:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}; choose from {tuple(OPTIMIZERS)}")
         if self.lr <= 0:
             raise ConfigError(f"lr must be positive, got {self.lr}")
+        if self.weight_decay < 0:
+            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if min(self.hidden_dims, default=1) < 1 or self.feature_dim < 1:
             raise ConfigError(f"hidden_dims and feature_dim must be >= 1, got {self.hidden_dims}, {self.feature_dim}")
 

@@ -60,9 +60,12 @@ def test_config_validation(tmp_path):
         tiny_experiment(tmp_path, modes=("random", "random"))
     # bad training values fail at configuration, not once per seed
     for bad in (dict(optimizer="rmsprop"), dict(lr=-1.0), dict(eval_every=-3),
-                dict(feature_dim=0), dict(hidden_dims=(0,)), dict(seed=-1)):
+                dict(feature_dim=0), dict(hidden_dims=(0,)), dict(seed=-1), dict(weight_decay=-1.0)):
         with pytest.raises(ConfigError):
             TrainConfig(**bad)
+    # a negative decay would grow every parameter each step
+    with pytest.raises(ConfigError, match="weight_decay"):
+        config_from_flat_dict({"weight_decay": "-0.5"})
     # seeds and split sizes that numpy would reject fail at configuration
     for bad in (dict(data_seed=-1), dict(n_train=-5), dict(n_val=0), dict(n_test=0)):
         with pytest.raises(ConfigError):
@@ -218,6 +221,7 @@ def test_cli_train_rejects_bad_training_values_before_any_seed(tmp_path):
     ["gen-data", "--seed", "-1"],
     ["train", "--config", "{cfg}", "data_seed = -1"],
     ["train", "--config", "{cfg}", "n_train = -5"],
+    ["train", "--config", "{cfg}", "weight_decay = -1"],
 ])
 def test_cli_bad_outside_input_is_one_error_line(tmp_path, capsys, argv):
     missing, cfg = str(tmp_path / "missing"), tmp_path / "bad.cfg"
@@ -269,6 +273,18 @@ def test_cli_gen_data_and_summarize(tmp_path, capsys):
         # the sweep trains its own two variants and scores their selection modes
         config = json.loads((run / summary).read_text())["config"]
         assert {"variant", "modes"} & config.keys() == ({"variant", "modes"} if command == "train" else set())
+
+
+@pytest.mark.parametrize("argv", [
+    ["summarize", "--dir", "x", "--seed", "3"],
+    ["summarize", "--dir", "x", "--config", "c.cfg"],
+    ["neighbors", "--checkpoint", "c.nwck", "--seed", "3"],
+])
+def test_cli_rejects_flags_that_the_subcommand_does_not_read(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        cli_main(argv)
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_cli_gen_data_seed_is_the_data_seed(tmp_path):

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from nwlearn import Rng, Tape, backward, grad_check
 from nwlearn.errors import ConfigError, DomainError, ShapeError
-from nwlearn.featnet import FeatureNet
+from nwlearn.featnet import DEFAULT_FEATURE_DIM, DEFAULT_HIDDEN_DIMS, FeatureNet
 from nwlearn.tensor import Tensor, add, matmul, mul, sum_all
 from taped_ops import relu
 
@@ -185,3 +187,54 @@ def test_from_weights_rejects_the_layer_dims_that_construction_rejects(dims):
         FeatureNet(dims, Rng(0))
     with pytest.raises(ConfigError, match="layer_dims"):
         FeatureNet.from_weights(dims, weights, biases)
+
+
+def default_net_and_rows(n, seed=12):
+    """A net of the default dims with non-zero biases, and n input rows."""
+    gen = np.random.default_rng(seed)
+    net = FeatureNet((16, *DEFAULT_HIDDEN_DIMS, DEFAULT_FEATURE_DIM), Rng(seed))
+    for b in net.biases:
+        b.data = gen.normal(size=b.shape)
+    return net, gen.normal(size=(n, 16))
+
+
+# one row; whole blocks of 128 rows and one short by a row; a 1-row tail
+# that joins the block before it; many blocks
+@pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 257, 3000])
+def test_untaped_extract_in_row_blocks_matches_the_one_shot_layers(n):
+    net, x = default_net_and_rows(n)
+    h = x
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        h = h @ w.data + b.data
+        if i != len(net.weights) - 1:
+            h = np.maximum(h, 0.0)
+    assert np.array_equal(net.extract(x).data, h)
+
+
+def test_untaped_extract_matches_the_taped_values():
+    net, x = default_net_and_rows(3000)
+    tape = Tape()
+    tape.watch(*net.parameters())
+    assert np.array_equal(net.extract(x).data, net.extract(Tensor(x)).data)
+
+
+def test_non_finite_pre_activation_in_the_last_block_raises_domain_error():
+    net, x = default_net_and_rows(3000)
+    x[2999] = 1e300
+    net.weights[0].data[:, 0] = 1e300
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isfinite(net.extract(x[:2999]).data).all()
+        with pytest.raises(DomainError, match="layer 0"):
+            net.extract(x)
+
+
+def test_untaped_extract_holds_no_whole_input_hidden_layer():
+    net, x = default_net_and_rows(3000)
+    tracemalloc.start()
+    try:
+        net.extract(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # two (3000, 64) float64 hidden layers would be 3 MB; the output is 384 KB
+    assert peak < 1_000_000

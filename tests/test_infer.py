@@ -325,6 +325,42 @@ def test_shared_support_vote_of_a_far_query_is_a_finite_simplex():
         assert np.abs(got - expected).max() < 1e-9, label
 
 
+def on_sphere(gen, n, radius):
+    directions = gen.normal(size=(n, 5))
+    return radius * directions / np.linalg.norm(directions, axis=1, keepdims=True)
+
+
+def assert_shared_votes_are_the_softmax(q, feats, labels, n_classes=3):
+    """nw_vote_shared, unweighted and with the full mode's class weights,
+    is a finite simplex within 1e-12 of the independent reference vote."""
+    counts = np.bincount(labels, minlength=n_classes)
+    for weights, balanced in ((None, False), (counts.max() / counts, True)):
+        got = nw_vote_shared(q, feats, onehot(labels, n_classes), weights)
+        assert np.isfinite(got).all() and np.abs(got.sum(axis=1) - 1.0).max() < 1e-12, balanced
+        assert np.abs(got - reference_vote(q, feats, labels, n_classes, balanced)).max() < 1e-12, balanced
+
+
+def test_shared_vote_over_a_far_support_is_the_softmax():
+    gen = np.random.default_rng(46)
+    feats = on_sphere(gen, 50, 800.0) + gen.normal(size=(50, 5))
+    labels = gen.integers(0, 3, size=50)
+    labels[:3] = np.arange(3)
+    q = np.zeros((1, 5))
+    # a bare exp(-distance) underflows to 0 on every support row
+    assert (np.exp(-np.sqrt(sqdist(q, feats))) == 0.0).all()
+    assert_shared_votes_are_the_softmax(q, feats, labels)
+
+
+def test_shared_vote_of_a_block_mixing_near_and_far_queries_is_the_softmax():
+    gen = np.random.default_rng(47)
+    feats, labels = gen.normal(size=(60, 5)), np.arange(60) % 3
+    half = _VOTE_BLOCK // 2
+    q = np.concatenate([gen.normal(size=(half, 5)), on_sphere(gen, half, 800.0)])[gen.permutation(_VOTE_BLOCK)]
+    underflows = (np.exp(-np.sqrt(sqdist(q, feats))) == 0.0).all(axis=1)
+    assert underflows.sum() == half
+    assert_shared_votes_are_the_softmax(q, feats, labels)
+
+
 def test_full_mode_peak_memory_stays_below_one_distance_matrix():
     gen = np.random.default_rng(45)
     cache = FeatureCache(gen.normal(size=(3000, 16)), gen.integers(0, 2, size=3000),
