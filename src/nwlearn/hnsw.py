@@ -8,10 +8,13 @@ candidate lists: each member's ef_construction nearest other members come
 from row blocks of one distance matrix; the diversifying heuristic picks m
 forward links among them, then the layer cap (2m on the base layer, m
 above) among each member's forward and reverse links. The heuristic runs in
-lockstep over a block of nodes, one stacked matvec per kept slot, with the
-block's working set under _BLOCK_ELEMS floats. Ties in distance break by
-the rotated id (id - v - 1) mod n of the node v being linked, so exact
-duplicates link to each other around a ring instead of all to the lowest ids.
+lockstep over a block of nodes, with the block's working set under
+_BLOCK_ELEMS floats: it gathers the candidates' features once, sorts them
+by distance to their node, and keeps one boolean mask of the candidates
+still in play, which each kept slot's stacked matvec narrows. Ties in
+distance break by the rotated id (id - v - 1) mod n of the node v being
+linked, so exact duplicates link to each other around a ring instead of all
+to the lowest ids.
 
 A query computes one squared-distance row to every node, then walks the
 layers' plain neighbour lists over it: a greedy descent through the upper
@@ -122,34 +125,52 @@ class HnswIndex:
         (distance to v, rotated id), keep a candidate only if it is no farther
         from v than from every already-kept one. Both sides of that test use
         one formula, so exact duplicates tie and are kept. Returns the picks
-        padded by -1."""
+        padded by -1.
+
+        Per block of rows: one gather of the candidates' features, reordered
+        in place of a second gather by one argsort (whose sorted distances
+        also show the rows with a tie, re-sorted by rotated id). A mask marks
+        the candidates still in play; each step's matvec from the last pick
+        clears those it dominates, since a dominated candidate never comes
+        back, and the next pick is the first one left. The loop ends at the
+        first step where no row picks, and drops the finished rows once they
+        are at least half of those it holds."""
         n, (rows, width), d = len(self.features), ids.shape, self.features.shape[1]
-        out, pos = np.full((rows, cap), -1), np.arange(width)
-        # a block's features, their compacted copy and its (block, width) arrays fit the bound
+        out = np.full((rows, cap), -1)
+        # a block's features, their reordered or compacted copy and its (block, width) arrays fit the bound
         step = max(1, _BLOCK_ELEMS // (width * (2 * d + 8)))
         for start in range(0, rows, step):
             vs, c = v[start:start + step], ids[start:start + step]
-            d_to_v = self._norms[c] - 2.0 * np.matmul(self.features[c], self.features[vs, :, None])[..., 0]
+            f, norms = np.take(self.features, c, axis=0), self._norms[c]
+            d_to_v = norms - 2.0 * np.matmul(f, self.features[vs, :, None])[..., 0]
             d_to_v += self._norms[vs, None]
-            order = np.argsort(d_to_v, axis=1)  # rows with a tie sort by (distance, rotated id)
-            tied = np.flatnonzero((np.diff(np.sort(d_to_v, axis=1), axis=1) == 0).any(axis=1))
-            order[tied] = np.lexsort(((c[tied] - vs[tied, None] - 1) % n, d_to_v[tied]))
-            c, d_to_v = np.take_along_axis(c, order, 1), np.take_along_axis(d_to_v, order, 1)
-            f, norms = self.features[c], self._norms[c]
-            min_to_kept = np.full(c.shape, np.inf)  # from each candidate to its row's kept set
-            live = np.arange(len(c))  # rows still picking, as rows of out
-            a = np.zeros(len(c), dtype=np.int64)  # each live row's last pick
+            # flat positions of the block's candidates in the order of the sort;
+            # rows with a tie sort by (distance, rotated id), to the same sorted distances
+            at = np.argsort(d_to_v, axis=1) + width * np.arange(len(c))[:, None]
+            sorted_d = np.take(d_to_v, at)
+            tied = np.flatnonzero((np.diff(sorted_d, axis=1) == 0).any(axis=1))
+            at[tied] = np.lexsort(((c[tied] - vs[tied, None] - 1) % n, d_to_v[tied])) + width * tied[:, None]
+            c, d_to_v, norms = np.take(c, at), sorted_d, np.take(norms, at)
+            f = np.take(f.reshape(-1, d), at, axis=0)  # the sorted copy frees the first gather
+            # play[r, j]: candidate j of row r is neither kept nor dominated,
+            # that is, no farther from v than from each of the row's kept ones
+            play = np.ones(c.shape, dtype=bool)
+            live = np.arange(len(c))  # the rows of out that the arrays hold
+            a = np.zeros(len(c), dtype=np.int64)  # each row's last pick
             out[start:start + step, 0] = c[:, 0]
             for t in range(1, cap):
                 r = np.arange(len(live))
+                play[r, a] = False
                 dist = norms - 2.0 * np.matmul(f, f[r, a, :, None])[..., 0] + norms[r, a, None]
-                np.minimum(min_to_kept, dist, out=min_to_kept)
-                ok = (min_to_kept >= d_to_v) & (pos > a[:, None])
-                more, a = ok.any(axis=1), ok.argmax(axis=1)
-                if not more.all():  # drop the rows with no candidate left
-                    live, c, d_to_v, f, norms, min_to_kept, a = (
-                        arr[more] for arr in (live, c, d_to_v, f, norms, min_to_kept, a))
-                out[start + live, t] = c[np.arange(len(live)), a]
+                play &= dist >= d_to_v
+                more, a = play.any(axis=1), play.argmax(axis=1)
+                picking = np.count_nonzero(more)
+                if picking == 0:
+                    break
+                out[start + live, t] = np.where(more, c[r, a], -1)
+                if 2 * picking <= len(live):  # at least half the rows are done: drop them
+                    live, c, d_to_v, f, norms, play, a = (
+                        arr[more] for arr in (live, c, d_to_v, f, norms, play, a))
         return out
 
     # -- queries -------------------------------------------------------------

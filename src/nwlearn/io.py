@@ -1,15 +1,16 @@
 """Dataset CSV format and the binary checkpoint format.
 
-CSV schema: header ``x_0,...,x_{d-1},y,e`` with decimal features and
-non-negative integer class/env ids. Checkpoints are little-endian binary:
+CSV schema: header ``x_0,...,x_{d-1},y,e`` with finite decimal features
+and non-negative integer class/env ids. Checkpoints are little-endian binary:
 magic ``NWCK``, a u32 format version, the layer-dim list, each layer's
 weight matrix and bias as float64, an optional linear probe, then a
-length-prefixed UTF-8 JSON metadata blob.
+length-prefixed UTF-8 JSON metadata blob that ends the file.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 import warnings
 from pathlib import Path
@@ -38,7 +39,8 @@ def load_csv(path) -> Dataset:
     """Parse a dataset CSV; errors carry the 1-based offending line.
 
     One ``np.loadtxt`` pass parses the body, the label columns as integers.
-    Only a file that pass refuses is scanned line by line (``_scan_csv``).
+    Only a file that pass refuses, or whose features hold a ``nan`` or
+    ``inf``, is scanned line by line (``_scan_csv``).
     """
     try:
         with open(path, encoding="utf-8") as f, warnings.catch_warnings():
@@ -49,9 +51,11 @@ def load_csv(path) -> Dataset:
                 raise ValueError(f"unexpected header {header!r}")
             rows = np.loadtxt(f, delimiter=",", comments=None, ndmin=1,
                               dtype=[("x", "f8", (d,)), ("y", "i8"), ("e", "i8")])
-        return Dataset.from_arrays(rows["x"], rows["y"], rows["e"])
+        if np.isfinite(rows["x"]).all():
+            return Dataset.from_arrays(rows["x"], rows["y"], rows["e"])
     except (ValueError, Warning, ContractError):
-        return _scan_csv(path)
+        pass
+    return _scan_csv(path)
 
 
 def _scan_csv(path) -> Dataset:
@@ -72,6 +76,8 @@ def _scan_csv(path) -> Dataset:
             x, y, e = [float(v) for v in fields[:d]], int(fields[d]), int(fields[d + 1])
         except ValueError as exc:
             raise ParseError(f"unparseable value: {exc}", line=lineno) from None
+        if not all(map(math.isfinite, x)):
+            raise ParseError(f"features must be finite, got {raw!r}", line=lineno)
         if y < 0 or e < 0:
             raise ParseError(f"y and e must be non-negative, got y={y}, e={e}", line=lineno)
         rows.append((x, y, e))
@@ -151,6 +157,8 @@ def load_checkpoint(path) -> tuple[FeatureNet, LinearHead | None, dict]:
     if reader.u32():
         fd = reader.u32()
         nc = reader.u32()
+        if fd != dims[-1]:
+            raise FormatError(f"probe reads {fd} features, the net gives {dims[-1]}")
         probe = LinearHead(fd, nc)
         probe.load_state_arrays(reader.f64_array((fd, nc)), reader.f64_array((nc,)))
     meta_len = reader.u32()
@@ -158,4 +166,6 @@ def load_checkpoint(path) -> tuple[FeatureNet, LinearHead | None, dict]:
         metadata = json.loads(reader.take(meta_len).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"bad metadata blob: {exc}") from None
+    if reader.pos != len(reader.blob):
+        raise FormatError(f"{len(reader.blob) - reader.pos} bytes after the metadata blob")
     return net, probe, metadata

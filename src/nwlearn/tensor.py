@@ -7,8 +7,9 @@ parameter's data in place. Gradients are recorded on an explicit
 tape, so the identical code path serves training and inference.
 :func:`sqdist` gives the squared distances of the taped NW vote, exact
 k-NN, k-means and the HNSW build; :func:`softmax` is the numpy row
-softmax and :func:`smallest_k` the one "k nearest by (distance, index)"
-selection.
+softmax, whose row max is a running maximum over the columns of a tall
+matrix (max is exact, so the bits match the plain reduction), and
+:func:`smallest_k` the one "k nearest by (distance, index)" selection.
 """
 
 from __future__ import annotations
@@ -16,6 +17,10 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractError, DomainError, ShapeError
+
+# rows per column above which a running column maximum beats numpy's row max
+_TALL = 32
+
 
 class Tensor:
     """A dense float64 array, optionally attached to a Tape."""
@@ -104,9 +109,22 @@ def smallest_k(d: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+def _row_max(x: np.ndarray) -> np.ndarray:
+    """``x.max(axis=1, keepdims=True)``, bit for bit. A matrix at least
+    ``_TALL`` times taller than it is wide takes a running maximum over its
+    columns: numpy reduces a short last axis one row at a time, about 70 ns
+    a row, while each column of the running maximum costs about 1.5 us."""
+    if not 0 < _TALL * x.shape[1] <= x.shape[0]:
+        return x.max(axis=1, keepdims=True)
+    out = x[:, :1].copy()
+    for j in range(1, x.shape[1]):
+        np.maximum(out, x[:, j:j + 1], out=out)
+    return out
+
+
 def softmax(x: np.ndarray) -> np.ndarray:
     """Row-wise softmax of a matrix with per-row max subtraction for stability."""
-    e = np.exp(x - x.max(axis=1, keepdims=True))
+    e = np.exp(x - _row_max(x))
     return e / e.sum(axis=1, keepdims=True)
 
 

@@ -141,6 +141,17 @@ def eval_modes_like():
     return (centers[gen.integers(0, 6, size=3000)] + gen.normal(size=(3000, 16))) * gen.uniform(0.2, 3.0, size=16)
 
 
+def line_and_cloud():
+    # every third id on a line, where the heuristic keeps one or two
+    # neighbours, the others in a far cloud, where it keeps up to cap: the
+    # rows of one heuristic block finish many steps apart, so the block
+    # holds finished rows for a while and is compacted part-way
+    gen = np.random.default_rng(57)
+    line = np.zeros((400, 8))
+    line[:, 0] = np.arange(400) * 0.01
+    return np.where(np.arange(400)[:, None] % 3 == 0, line, gen.normal(size=(400, 8)) + 40.0)
+
+
 def build_inputs():
     gen = np.random.default_rng(53)
     row = np.array([0.5, -1.25, 2.0, 3.0])
@@ -154,6 +165,7 @@ def build_inputs():
     for ef in (1, 3, 30):
         yield gen.normal(size=(300, 8)), {"m": 2, "ef_construction": ef}
     yield eval_modes_like(), {}
+    yield line_and_cloud(), {}
 
 
 def test_build_matches_the_per_node_reference():
@@ -167,6 +179,17 @@ def test_build_matches_the_per_node_reference():
     for members in ([17], [3, 41]):
         members = np.array(members)
         assert index._build_layer(members, index.m) == reference_build_layer(index, members, index.m)
+
+
+def test_heuristic_rows_that_finish_early_match_the_per_node_reference():
+    pts = line_and_cloud()
+    index = HnswIndex(pts, rng=Rng(0))
+    ids = np.argsort(sqdist(pts, pts), axis=1, kind="stable")[:, 1:201]
+    for cap in (index.m, index.m0):
+        out = index._select_heuristic(np.arange(len(pts)), ids, cap)
+        for v, row in enumerate(out.tolist()):
+            kept = reference_select(index, v, ids[v], cap).tolist()
+            assert row == kept + [-1] * (cap - len(kept))
 
 
 def test_build_peak_memory_stays_bounded():

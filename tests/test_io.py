@@ -104,6 +104,10 @@ def test_blank_lines_are_skipped(tmp_path):
     ("0.5,1.5,1.0,0\n", 2),                     # label written as a float
     ("0.5,1.5,0,0\n0.5,1.5,1,0\n1,1,0,-1\n", 4),  # negative environment
     ("0.5,1.5,0,0#note\n", 2),                  # '#' is no comment marker
+    ("0.5,1.5,0,0\n0.5,nan,1,0\n", 3),          # non-finite features
+    ("0.5,1.5,0,0\n-inf,1.5,1,0\n", 3),
+    ("0.5,1.5,0,0\n0.5,1.5,1,0\n1e999,0,1,1\n", 4),
+    ("inf,1.5,0,0\n0.5,1.5,0,0,\n", 2),        # ... before a row that loadtxt refuses
 ])
 def test_parse_errors_report_their_line(tmp_path, body, line):
     path = tmp_path / "bad.csv"
@@ -183,3 +187,44 @@ def test_checkpoint_with_a_zero_width_layer_rejected(tmp_path):
                      + struct.pack("<II", 0, 2) + b"{}")
     with pytest.raises(ConfigError, match="layer_dims"):
         load_checkpoint(path)
+
+
+def _checkpoint_blob(dims, probe_dims=None, meta=b"{}"):
+    """A checkpoint written by hand: zero weights, an optional probe of
+    (feature_dim, n_classes), then the length-prefixed metadata."""
+    blob = CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(dims))
+    blob += struct.pack(f"<{len(dims)}I", *dims)
+    for din, dout in zip(dims[:-1], dims[1:]):
+        blob += bytes(8 * (din * dout + dout))
+    if probe_dims is None:
+        blob += struct.pack("<I", 0)
+    else:
+        fd, nc = probe_dims
+        blob += struct.pack("<III", 1, fd, nc) + bytes(8 * (fd * nc + nc))
+    return blob + struct.pack("<I", len(meta)) + meta
+
+
+def test_hand_built_checkpoint_loads(tmp_path):
+    path = tmp_path / "model.nwck"
+    path.write_bytes(_checkpoint_blob((4, 3), probe_dims=(3, 2), meta=b'{"seed": 1}'))
+    net, probe, meta = load_checkpoint(path)
+    assert net.layer_dims == [4, 3]
+    assert (probe.feature_dim, probe.n_classes) == (3, 2)
+    assert meta == {"seed": 1}
+
+
+@pytest.mark.parametrize("fd", [2, 4])
+def test_checkpoint_whose_probe_does_not_fit_the_net_rejected(tmp_path, fd):
+    path = tmp_path / "model.nwck"
+    path.write_bytes(_checkpoint_blob((4, 3), probe_dims=(fd, 2)))
+    with pytest.raises(FormatError, match="probe"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("tail", [b"\x00", b"{}", b"\x00" * 64])
+def test_checkpoint_with_bytes_after_the_metadata_rejected(tmp_path, tail):
+    path = tmp_path / "model.nwck"
+    path.write_bytes(_checkpoint_blob((4, 3), probe_dims=(3, 2)) + tail)
+    with pytest.raises(FormatError, match="after the metadata"):
+        load_checkpoint(path)
+

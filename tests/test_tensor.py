@@ -4,7 +4,7 @@ import pytest
 from nwlearn import Tape, Tensor, backward, grad_check
 from nwlearn.errors import ConfigError, ContractError, DomainError, ShapeError
 from nwlearn.optim import Adam, Sgd
-from nwlearn.tensor import add, matmul, mul, scale, smallest_k, softmax_rows, sub, sum_all
+from nwlearn.tensor import _row_max, add, matmul, mul, scale, smallest_k, softmax, softmax_rows, sub, sum_all
 from taped_ops import log, mean_all, pairwise_sqdist, relu, sqrt
 
 
@@ -161,6 +161,21 @@ def test_softmax_rows_is_simplex_and_shift_invariant():
         # adding a constant to a row leaves that row's softmax unchanged
         c = rng.uniform(-10, 10, size=(4, 1))
         assert np.abs(softmax_rows(Tensor(x + c)).data - s).max() < 1e-9
+
+
+@pytest.mark.parametrize("shape", [(3000, 2), (1200, 20), (640, 20), (639, 20), (17, 16), (2, 3000), (16, 16), (1, 1), (50, 1), (1, 7)])
+def test_row_max_and_softmax_are_bit_identical_to_the_plain_reduction(shape):
+    gen = np.random.default_rng(13)
+    # few distinct values, signed zeros among them, so most rows hold ties
+    values = np.array([-0.0, 0.0, -1.5, 2.25, 2.25, -np.inf, 1e300])
+    for x in (gen.choice(values, size=shape), gen.normal(size=shape) * 30.0,
+              np.asfortranarray(gen.normal(size=shape)), gen.normal(size=(shape[1], shape[0])).T):
+        plain = x.max(axis=1, keepdims=True)
+        assert _row_max(x).tobytes() == plain.tobytes()
+        with np.errstate(invalid="ignore", over="ignore"):
+            expect = np.exp(x - plain)
+            expect /= expect.sum(axis=1, keepdims=True)
+            assert softmax(x).tobytes() == expect.tobytes()
 
 
 def test_sgd_definition():
