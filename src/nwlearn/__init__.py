@@ -18,7 +18,7 @@ from .errors import (
     TrainingDiverged,
 )
 from .experiment import ExperimentConfig, run_experiment, run_prevalence_sweep
-from .featnet import FeatureNet, LinearHead
+from .featnet import FeatureNet
 from .infer import (
     FeatureCache,
     InferenceMode,
@@ -55,7 +55,6 @@ __all__ = [
     "FormatError",
     "InferenceMode",
     "LabeledExample",
-    "LinearHead",
     "NwError",
     "ParseError",
     "Rng",

@@ -235,6 +235,9 @@ def run_prevalence_sweep(cfg: ExperimentConfig, prevalences=PREVALENCES) -> Expe
     ds_train, ds_val, ds_test = load_experiment_data(cfg)
     base_prevalence = ds_test.class_counts()[0] / len(ds_test)
     usable = [p for p in prevalences if p <= base_prevalence + 1e-9]
+    if not usable:
+        raise ConfigError(f"no prevalence in {sorted(prevalences)} is at or below the test set's base "
+                          f"{base_prevalence:.3f}")
     if len(usable) < len(prevalences):
         log.warning("dropping prevalences above the base %.3f: %s",
                     base_prevalence, sorted(set(prevalences) - set(usable)))

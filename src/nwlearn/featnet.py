@@ -1,9 +1,11 @@
 """Feature extractor: a small MLP mapping input vectors to feature vectors.
 
-Relu on every layer but the last. The whole net is one taped node whenever
-the input or a parameter sits on a live tape; otherwise extraction is a
-pure numpy evaluation that keeps no intermediate. Untaped, the layers run
-over blocks of rows whose hidden temporaries stay under glibc's default
+Relu on every layer but the last. The parametric ERM baselines and the
+frozen-feature probe score a ``linear_head``, a zero-initialized one-layer
+net whose features are the class logits. The whole net is one taped node
+whenever the input or a parameter sits on a live tape; otherwise extraction
+is a pure numpy evaluation that keeps no intermediate. Untaped, the layers
+run over blocks of rows whose hidden temporaries stay under glibc's default
 128 KiB mmap threshold, so the heap reuses them where whole-input layers
 would be fresh pages, faulted in on every call.
 """
@@ -14,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, ShapeError
 from .rng import Rng
-from .tensor import Tensor, _live_tape, _result, add, matmul, softmax_rows
+from .tensor import Tensor, _live_tape, _result
 
 DEFAULT_HIDDEN_DIMS = (64, 64)
 DEFAULT_FEATURE_DIM = 16
@@ -48,9 +50,11 @@ class FeatureNet:
 
     @classmethod
     def from_weights(cls, layer_dims, weights, biases) -> "FeatureNet":
-        """Rebuild a net from raw arrays (checkpoint loading)."""
+        """Rebuild a net from raw arrays, one weight and one bias per layer."""
         net = cls.__new__(cls)
         net.layer_dims = _checked_dims(layer_dims)
+        if len(weights) != len(net.layer_dims) - 1 or len(biases) != len(net.layer_dims) - 1:
+            raise ConfigError(f"{len(weights)} weights and {len(biases)} biases for layer_dims {net.layer_dims}")
         net.weights = [Tensor(np.asarray(w, dtype=np.float64)) for w in weights]
         net.biases = [Tensor(np.asarray(b, dtype=np.float64)) for b in biases]
         for w, b, din, dout in zip(net.weights, net.biases, net.layer_dims[:-1], net.layer_dims[1:]):
@@ -72,15 +76,6 @@ class FeatureNet:
             out.append(w)
             out.append(b)
         return out
-
-    def state_arrays(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        return [w.data.copy() for w in self.weights], [b.data.copy() for b in self.biases]
-
-    def load_state_arrays(self, weights, biases):
-        for p, arr in zip(self.weights, weights):
-            p.data = np.array(arr, dtype=np.float64)
-        for p, arr in zip(self.biases, biases):
-            p.data = np.array(arr, dtype=np.float64)
 
     def extract(self, inputs) -> Tensor:
         """Apply the net row-wise to an (n, input_dim) matrix.
@@ -146,41 +141,10 @@ def _layer(h: np.ndarray, w: np.ndarray, b: np.ndarray, i: int, relu: bool) -> n
     return h
 
 
-class LinearHead:
-    """Zero-initialized softmax linear classifier over feature vectors.
-
-    Serves both the parametric ERM baselines and the frozen-feature probe.
-    """
-
-    def __init__(self, feature_dim: int, n_classes: int):
-        if feature_dim < 1 or n_classes < 2:
-            raise ConfigError(f"bad head dims ({feature_dim}, {n_classes})")
-        self.weight = Tensor(np.zeros((feature_dim, n_classes)))
-        self.bias = Tensor(np.zeros(n_classes))
-
-    @property
-    def feature_dim(self) -> int:
-        return self.weight.shape[0]
-
-    @property
-    def n_classes(self) -> int:
-        return self.weight.shape[1]
-
-    def parameters(self) -> list[Tensor]:
-        return [self.weight, self.bias]
-
-    def state_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.weight.data.copy(), self.bias.data.copy()
-
-    def load_state_arrays(self, weight, bias):
-        self.weight.data = np.array(weight, dtype=np.float64)
-        self.bias.data = np.array(bias, dtype=np.float64)
-
-    def logits(self, feats) -> Tensor:
-        f = feats if isinstance(feats, Tensor) else Tensor(np.atleast_2d(feats))
-        if f.shape[1] != self.feature_dim:
-            raise ShapeError(f"features {f.shape} do not match head dim {self.feature_dim}")
-        return add(matmul(f, self.weight), self.bias)
-
-    def predict_probs(self, feats) -> Tensor:
-        return softmax_rows(self.logits(feats))
+def linear_head(feature_dim: int, n_classes: int) -> FeatureNet:
+    """Zero-initialized linear classifier over feature vectors: a one-layer
+    net whose ``extract`` gives the logits of ``n_classes >= 2`` classes."""
+    if n_classes < 2:
+        raise ConfigError(f"a head needs >= 2 classes, got {n_classes}")
+    return FeatureNet.from_weights([feature_dim, n_classes], [np.zeros((feature_dim, n_classes))],
+                                   [np.zeros(n_classes)])

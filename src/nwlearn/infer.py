@@ -28,14 +28,14 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ConfigError, ContractError, CoverageError, DomainError
-from .featnet import FeatureNet, LinearHead
+from .featnet import FeatureNet, linear_head
 from .hnsw import HnswIndex
 from .kmeans import kmeans
 from .nwhead import cross_entropy, nw_vote, nw_vote_shared, onehot
 from .optim import Adam
 from .rng import Rng
 from .support import SupportSpec, _class_bucket, sample_support
-from .tensor import Tape, backward, smallest_k, sqdist
+from .tensor import Tape, backward, smallest_k, softmax_rows, sqdist
 
 log = logging.getLogger(__name__)
 
@@ -101,7 +101,7 @@ def _queries(query_feats) -> np.ndarray:
 
 
 def predict(mode: InferenceMode, cache: FeatureCache, query_feats, rng: Rng | None = None,
-            probe: LinearHead | None = None) -> np.ndarray:
+            probe: FeatureNet | None = None) -> np.ndarray:
     """Per-query class simplices under the requested inference mode."""
     q = _queries(query_feats)
     rng = rng if rng is not None else Rng(0)
@@ -145,8 +145,8 @@ def predict(mode: InferenceMode, cache: FeatureCache, query_feats, rng: Rng | No
 
     if mode.kind == "probe":
         if probe is None:
-            raise ContractError("probe mode needs a trained LinearHead (see train_probe)")
-        return probe.predict_probs(q).data
+            raise ContractError("probe mode needs a trained probe (see train_probe)")
+        return softmax_rows(probe.extract(q)).data
 
     raise ConfigError(f"unknown inference mode {mode.kind!r}")
 
@@ -186,15 +186,16 @@ def knn_predict(cache: FeatureCache, query_feats, k: int, exact: bool = True,
     return nw_vote(-dist, onehot(cache.labels[idx], cache.n_classes))
 
 
-def train_probe(cache: FeatureCache, lr: float = 0.05, epochs: int = 200) -> LinearHead:
-    """Fit a linear softmax classifier on the cached (frozen) features."""
-    head = LinearHead(cache.features.shape[1], cache.n_classes)
+def train_probe(cache: FeatureCache, lr: float = 0.05, epochs: int = 200) -> FeatureNet:
+    """Fit a linear softmax classifier, a ``linear_head``, on the cached
+    (frozen) features."""
+    head = linear_head(cache.features.shape[1], cache.n_classes)
     labels = onehot(cache.labels, cache.n_classes)
     opt = Adam(lr=lr)
     for _ in range(epochs):
         tape = Tape()
         tape.watch(*head.parameters())
-        loss = cross_entropy(head.predict_probs(cache.features), labels)
+        loss = cross_entropy(softmax_rows(head.extract(cache.features)), labels)
         grads = backward(tape, loss)
         opt.step(head.parameters(), grads)
     return head

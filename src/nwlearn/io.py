@@ -3,7 +3,8 @@
 CSV schema: header ``x_0,...,x_{d-1},y,e`` with finite decimal features
 and non-negative integer class/env ids. Checkpoints are little-endian binary:
 magic ``NWCK``, a u32 format version, the layer-dim list, each layer's
-weight matrix and bias as float64, an optional linear probe, then a
+weight matrix and bias as float64, an optional linear probe (a one-layer
+net: a u32 flag, its two dims, its weight and bias), then a
 length-prefixed UTF-8 JSON metadata blob that ends the file.
 """
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ContractError, FormatError, ParseError
-from .featnet import FeatureNet, LinearHead
+from .featnet import FeatureNet
 
 CHECKPOINT_MAGIC = b"NWCK"
 CHECKPOINT_VERSION = 1
@@ -91,8 +92,13 @@ def _write_array(out: bytearray, arr: np.ndarray):
     out.extend(arr.astype("<f8").tobytes())
 
 
-def save_checkpoint(path, net: FeatureNet, probe: LinearHead | None = None,
+def save_checkpoint(path, net: FeatureNet, probe: FeatureNet | None = None,
                     metadata: dict | None = None):
+    """Write ``net`` and an optional probe, a one-layer net over the net's
+    features; a probe of another shape raises ContractError and writes
+    nothing."""
+    if probe is not None and (len(probe.layer_dims) != 2 or probe.input_dim != net.feature_dim):
+        raise ContractError(f"a probe is one layer over {net.feature_dim} features, got dims {probe.layer_dims}")
     out = bytearray()
     out.extend(CHECKPOINT_MAGIC)
     out.extend(struct.pack("<I", CHECKPOINT_VERSION))
@@ -107,9 +113,9 @@ def save_checkpoint(path, net: FeatureNet, probe: LinearHead | None = None,
         out.extend(struct.pack("<I", 0))
     else:
         out.extend(struct.pack("<I", 1))
-        out.extend(struct.pack("<II", probe.feature_dim, probe.n_classes))
-        _write_array(out, probe.weight.data)
-        _write_array(out, probe.bias.data)
+        out.extend(struct.pack("<II", *probe.layer_dims))
+        _write_array(out, probe.weights[0].data)
+        _write_array(out, probe.biases[0].data)
     meta = json.dumps(metadata or {}, sort_keys=True).encode("utf-8")
     out.extend(struct.pack("<I", len(meta)))
     out.extend(meta)
@@ -137,7 +143,7 @@ class _Reader:
         return arr.reshape(shape)
 
 
-def load_checkpoint(path) -> tuple[FeatureNet, LinearHead | None, dict]:
+def load_checkpoint(path) -> tuple[FeatureNet, FeatureNet | None, dict]:
     reader = _Reader(Path(path).read_bytes())
     if reader.take(4) != CHECKPOINT_MAGIC:
         raise FormatError("bad magic; not a checkpoint file")
@@ -155,12 +161,10 @@ def load_checkpoint(path) -> tuple[FeatureNet, LinearHead | None, dict]:
     net = FeatureNet.from_weights(dims, weights, biases)
     probe = None
     if reader.u32():
-        fd = reader.u32()
-        nc = reader.u32()
-        if fd != dims[-1]:
-            raise FormatError(f"probe reads {fd} features, the net gives {dims[-1]}")
-        probe = LinearHead(fd, nc)
-        probe.load_state_arrays(reader.f64_array((fd, nc)), reader.f64_array((nc,)))
+        fd, nc = reader.u32(), reader.u32()
+        if fd != dims[-1] or nc < 2:
+            raise FormatError(f"probe reads {fd} features into {nc} classes, the net gives {dims[-1]} features")
+        probe = FeatureNet.from_weights([fd, nc], [reader.f64_array((fd, nc))], [reader.f64_array((nc,))])
     meta_len = reader.u32()
     try:
         metadata = json.loads(reader.take(meta_len).decode("utf-8"))

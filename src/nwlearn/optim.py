@@ -36,8 +36,8 @@ class Adam:
     in order), gathers the values into one flat vector and rebinds each
     parameter's data to its view of it; later steps update the values and
     the flat moments in place. A step whose parameters are not all those
-    views (``load_state_arrays`` rebinds them) gathers again; a step with
-    another layout raises ContractError.
+    views (an assignment to ``p.data`` rebinds one) gathers again; a step
+    with another layout raises ContractError.
     """
 
     def __init__(self, lr: float, weight_decay: float = 0.0):

@@ -151,17 +151,6 @@ def _result(value, inputs, vjp):
     return out
 
 
-def matmul(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: shapes {a.shape} and {b.shape} do not conform")
-
-    def vjp(g):
-        return g @ b.data.T, a.data.T @ g
-
-    return _result(a.data @ b.data, (a, b), vjp)
-
-
 def add(a, b) -> Tensor:
     """Elementwise sum of equal shapes, or matrix + row vector (bias)."""
     a, b = _wrap(a), _wrap(b)

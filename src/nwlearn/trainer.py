@@ -24,7 +24,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ConfigError, DomainError, TrainingDiverged
-from .featnet import DEFAULT_FEATURE_DIM, DEFAULT_HIDDEN_DIMS, FeatureNet, LinearHead
+from .featnet import DEFAULT_FEATURE_DIM, DEFAULT_HIDDEN_DIMS, FeatureNet, linear_head
 from .infer import FeatureCache, InferenceMode, build_cache, predict
 from .metrics import compute_metric
 from .nwhead import cross_entropy, nw_predict, onehot
@@ -37,7 +37,7 @@ from .support import (
     sample_query_batch,
     sample_support,
 )
-from .tensor import Tape, Tensor, add, backward, mul, scale, sub, sum_all, take_rows
+from .tensor import Tape, Tensor, add, backward, mul, scale, softmax_rows, sub, sum_all, take_rows
 
 log = logging.getLogger(__name__)
 
@@ -62,14 +62,14 @@ class Variant:
     def selection_mode(self, cache: FeatureCache) -> InferenceMode:
         return InferenceMode("full") if self.balanced else InferenceMode("knn", len(cache))
 
-    def loss(self, net: FeatureNet, head: LinearHead | None, ds: Dataset, query_batch,
+    def loss(self, net: FeatureNet, head: FeatureNet | None, ds: Dataset, query_batch,
              n_c: int, lambda_: float, rng: Rng, env: int | None) -> tuple[Tensor, Tensor | None]:
         """(loss, penalty or None) of one step on the query rows
         ``query_batch`` (indices into ``ds``); ``env`` is the environment of
         an ``"env"`` support."""
         labels = ds.y[query_batch]
         if self.support is None:
-            probs = head.predict_probs(net.extract(ds.X[query_batch]))
+            probs = softmax_rows(head.extract(net.extract(ds.X[query_batch])))
             return cross_entropy(probs, onehot(labels, ds.n_classes)), None
         if self.support == "pair":
             supports = sample_env_pair(ds, n_c, labels, rng)
@@ -144,10 +144,10 @@ class TrainReport:
 @dataclass
 class ErmModel:
     net: FeatureNet
-    head: LinearHead
+    head: FeatureNet  # a linear_head over the net's features
 
     def predict_probs(self, x) -> np.ndarray:
-        return self.head.predict_probs(self.net.extract(x)).data
+        return softmax_rows(self.head.extract(self.net.extract(x))).data
 
     def parameters(self):
         return self.net.parameters() + self.head.parameters()
@@ -173,10 +173,10 @@ def nw_loss(net: FeatureNet, ds: Dataset, query_rows, supports, lambda_: float) 
     return add(cross_entropy(preds[0], q_onehot), scale(penalty, lambda_)), penalty
 
 
-def _evaluate(row: Variant, net: FeatureNet, head: LinearHead | None,
+def _evaluate(row: Variant, net: FeatureNet, head: FeatureNet | None,
               ds_train: Dataset, ds_val: Dataset, metric: str) -> float:
     if head is not None:
-        probs = head.predict_probs(net.extract(ds_val.X)).data
+        probs = softmax_rows(head.extract(net.extract(ds_val.X))).data
     else:
         cache = build_cache(net, ds_train)
         probs = predict(row.selection_mode(cache), cache, net.extract(ds_val.X).data)
@@ -201,7 +201,7 @@ def train(ds_train: Dataset, ds_val_ood: Dataset, cfg: TrainConfig, metric: str 
     root = Rng(cfg.seed)
     r_init, r_query, r_support, r_env = root.split(4)
     net = FeatureNet([ds_train.input_dim, *cfg.hidden_dims, cfg.feature_dim], r_init)
-    head = LinearHead(cfg.feature_dim, ds_train.n_classes) if row.support is None else None
+    head = linear_head(cfg.feature_dim, ds_train.n_classes) if row.support is None else None
     model = net if head is None else ErmModel(net, head)
     params = model.parameters()
     opt = OPTIMIZERS[cfg.optimizer](cfg.lr, cfg.weight_decay)

@@ -1,9 +1,10 @@
 """Taped elementwise and distance ops that serve only as test references.
 
 The library fuses these chains into single taped nodes (``FeatureNet.extract``
-runs matmul/add/relu, ``nw_predict`` runs distance/sqrt/softmax/matmul and
-``cross_entropy`` runs select/offset/log/mean). The tests rebuild the chains
-from the ops below and compare values and gradients with the fused nodes.
+runs matmul/add/relu, and matmul/add alone for a one-layer head;
+``nw_predict`` runs distance/sqrt/softmax/matmul and ``cross_entropy`` runs
+select/offset/log/mean). The tests rebuild the chains from the ops below and
+compare values and gradients with the fused nodes.
 """
 
 from __future__ import annotations
@@ -15,6 +16,17 @@ from nwlearn.tensor import Tensor, _result, _wrap, scale, sqdist
 
 # negative round-off this small is absorbed by sqrt instead of raising
 _SQRT_SLACK = 1e-9
+
+
+def matmul(a, b) -> Tensor:
+    a, b = _wrap(a), _wrap(b)
+    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
+        raise ShapeError(f"matmul: shapes {a.shape} and {b.shape} do not conform")
+
+    def vjp(g):
+        return g @ b.data.T, a.data.T @ g
+
+    return _result(a.data @ b.data, (a, b), vjp)
 
 
 def relu(x) -> Tensor:

@@ -357,6 +357,25 @@ def test_failed_sweep_seed_contributes_no_records(tmp_path, monkeypatch, capsys)
     assert "seed 1 FAILED: RuntimeError: injected failure" in capsys.readouterr().err
 
 
+def test_sweep_with_no_prevalence_at_or_below_the_base_trains_nothing(tmp_path, monkeypatch, capsys):
+    def no_train(*args, **kwargs):
+        raise AssertionError("the sweep trained")
+
+    monkeypatch.setattr(nwlearn.experiment, "train", no_train)
+    cfg = tiny_experiment(tmp_path, data="imbalanced")
+    with pytest.raises(ConfigError, match="base"):
+        run_prevalence_sweep(cfg, prevalences=(0.95, 0.99))
+    assert not (tmp_path / "run" / "sweep.jsonl").exists()
+
+    cfg_file = tmp_path / "sweep.cfg"
+    cfg_file.write_text(TINY_CFG + "data = imbalanced\n")
+    capsys.readouterr()
+    argv = ["sweep", "--config", str(cfg_file), "--prevalences", "0.95,0.99", "--out", str(tmp_path / "cli")]
+    assert cli_main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "cli" / "sweep.jsonl").exists()
+
+
 def test_cli_eval_reproduces_each_seeds_records(tmp_path, capsys):
     cfg_file = tmp_path / "exp.cfg"
     out = tmp_path / "run"

@@ -5,9 +5,9 @@ import pytest
 
 from nwlearn import Rng, Tape, backward, grad_check
 from nwlearn.errors import ConfigError, DomainError, ShapeError
-from nwlearn.featnet import DEFAULT_FEATURE_DIM, DEFAULT_HIDDEN_DIMS, FeatureNet
-from nwlearn.tensor import Tensor, add, matmul, mul, sum_all
-from taped_ops import relu
+from nwlearn.featnet import DEFAULT_FEATURE_DIM, DEFAULT_HIDDEN_DIMS, FeatureNet, linear_head
+from nwlearn.tensor import Tensor, add, mul, softmax_rows, sum_all
+from taped_ops import matmul, relu
 
 
 def test_init_shapes():
@@ -179,6 +179,21 @@ def test_from_weights_rejects_a_bad_bias_shape():
         FeatureNet.from_weights((3, 2), [np.zeros((3, 2))], [np.zeros((1, 2))])
 
 
+@pytest.mark.parametrize("n_weights, n_biases", [(1, 2), (2, 1), (1, 1), (3, 3)])
+def test_from_weights_rejects_a_wrong_number_of_layers(n_weights, n_biases):
+    dims = (4, 8, 3)
+    weights = [np.zeros((din, dout)) for din, dout in zip(dims[:-1], dims[1:])] + [np.zeros((3, 3))]
+    biases = [np.zeros(dout) for dout in dims[1:]] + [np.zeros(3)]
+    with pytest.raises(ConfigError, match="2 biases|weights"):
+        FeatureNet.from_weights(dims, weights[:n_weights], biases[:n_biases])
+
+
+@pytest.mark.parametrize("n_classes", [0, 1])
+def test_linear_head_needs_two_classes(n_classes):
+    with pytest.raises(ConfigError):
+        linear_head(16, n_classes)
+
+
 @pytest.mark.parametrize("dims", [(16, 0), (0, 4), (3, 0, 2), (5,)])
 def test_from_weights_rejects_the_layer_dims_that_construction_rejects(dims):
     weights = [np.zeros((din, dout)) for din, dout in zip(dims[:-1], dims[1:])]
@@ -238,3 +253,40 @@ def test_untaped_extract_holds_no_whole_input_hidden_layer():
         tracemalloc.stop()
     # two (3000, 64) float64 hidden layers would be 3 MB; the output is 384 KB
     assert peak < 1_000_000
+
+
+def _head_probs_and_grads(probs_of, head, feats, watch_input):
+    """Probabilities of ``probs_of(feats)`` and, on a tape, the gradients
+    of a fixed random weighting of them for the input (when watched), the
+    head's weight and its bias."""
+    tape, inputs = Tape(), head.parameters() + ([feats] if watch_input else [])
+    tape.watch(*inputs)
+    probs = probs_of(feats)
+    upstream = Tensor(np.random.default_rng(probs.shape[0]).normal(size=probs.shape))
+    grads = backward(tape, sum_all(mul(probs, upstream)))
+    return [probs.data] + [grads[t].data for t in inputs]
+
+
+# the untaped forward runs in 4096-row blocks at 2 classes: one row, one
+# block, a 1-row tail that joins the block before it, and a 2-row tail
+@pytest.mark.parametrize("n", [1, 2, 600, 3000, 4097, 4098])
+def test_linear_head_matches_the_matmul_add_softmax_chain_bit_for_bit(n):
+    gen = np.random.default_rng(n)
+    head = linear_head(DEFAULT_FEATURE_DIM, 2)
+    head.weights[0].data = gen.normal(size=(DEFAULT_FEATURE_DIM, 2))
+    head.biases[0].data = gen.normal(size=2)
+    feats = gen.normal(size=(n, DEFAULT_FEATURE_DIM))
+    w, b = head.parameters()
+
+    def fused(f):
+        return softmax_rows(head.extract(f))
+
+    def chain(f):
+        return softmax_rows(add(matmul(f, w), b))
+
+    assert fused(feats).data.tobytes() == chain(Tensor(feats)).data.tobytes()
+    for watch_input in (False, True):
+        got = _head_probs_and_grads(fused, head, Tensor(feats), watch_input)
+        want = _head_probs_and_grads(chain, head, Tensor(feats), watch_input)
+        assert len(got) == len(want) == 3 + watch_input
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]

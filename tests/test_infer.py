@@ -434,14 +434,14 @@ def test_probe_trains_to_separate_linear_features():
     labels = np.array([0] * 30 + [1] * 30)
     cache = FeatureCache(feats, labels, np.zeros(60, dtype=int), 2)
     probe = train_probe(cache, lr=0.1, epochs=100)
-    pred = probe.predict_probs(feats).data.argmax(axis=1)
+    pred = predict(InferenceMode("probe"), cache, feats, probe=probe).argmax(axis=1)
     assert (pred == labels).mean() == 1.0
 
 
 def test_zero_epoch_probe_is_uniform():
     cache = make_cache(seed=23)
     probe = train_probe(cache, epochs=0)
-    probs = probe.predict_probs(cache.features[:5]).data
+    probs = predict(InferenceMode("probe"), cache, cache.features[:5], probe=probe)
     assert np.abs(probs - 1.0 / cache.n_classes).max() < 1e-12
 
 
@@ -450,7 +450,7 @@ def test_probe_single_class_always_predicts_it():
     feats = gen.normal(size=(20, 3))
     cache = FeatureCache(feats, np.zeros(20, dtype=int), np.zeros(20, dtype=int), 2)
     probe = train_probe(cache, epochs=50)
-    assert (probe.predict_probs(feats).data.argmax(axis=1) == 0).all()
+    assert (predict(InferenceMode("probe"), cache, feats, probe=probe).argmax(axis=1) == 0).all()
 
 
 def test_probe_mode_requires_head():

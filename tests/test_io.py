@@ -5,8 +5,8 @@ import pytest
 
 from nwlearn import Rng
 from nwlearn.data import Dataset, LabeledExample
-from nwlearn.errors import ConfigError, FormatError, ParseError
-from nwlearn.featnet import FeatureNet, LinearHead
+from nwlearn.errors import ConfigError, ContractError, FormatError, ParseError
+from nwlearn.featnet import FeatureNet, linear_head
 from nwlearn.io import CHECKPOINT_MAGIC, CHECKPOINT_VERSION, load_checkpoint, load_csv, save_checkpoint, save_csv
 from nwlearn.scmgen import spurious_benchmark
 
@@ -128,8 +128,8 @@ def test_empty_files_are_rejected(tmp_path, text, line):
 
 def test_checkpoint_round_trip(tmp_path):
     net = FeatureNet((4, 8, 3), Rng(1))
-    probe = LinearHead(3, 2)
-    probe.weight.data = np.random.default_rng(2).normal(size=(3, 2))
+    probe = linear_head(3, 2)
+    probe.weights[0].data = np.random.default_rng(2).normal(size=(3, 2))
     meta = {"seed": 7, "variant": "nw_implicit", "epoch": 3}
     path = tmp_path / "model.nwck"
     save_checkpoint(path, net, probe=probe, metadata=meta)
@@ -139,8 +139,16 @@ def test_checkpoint_round_trip(tmp_path):
         assert (a.data == b.data).all()
     for a, b in zip(net.biases, net2.biases):
         assert (a.data == b.data).all()
-    assert (probe2.weight.data == probe.weight.data).all()
+    assert (probe2.weights[0].data == probe.weights[0].data).all()
     assert meta2 == meta
+
+
+@pytest.mark.parametrize("probe_dims", [(5, 2), (3, 4, 2), (2, 2)])
+def test_checkpoint_with_a_probe_that_does_not_fit_the_net_is_not_written(tmp_path, probe_dims):
+    path = tmp_path / "model.nwck"
+    with pytest.raises(ContractError, match="probe"):
+        save_checkpoint(path, FeatureNet((4, 8, 3), Rng(1)), probe=FeatureNet(probe_dims, Rng(2)))
+    assert not path.exists()
 
 
 def test_checkpoint_without_probe(tmp_path):
@@ -209,7 +217,7 @@ def test_hand_built_checkpoint_loads(tmp_path):
     path.write_bytes(_checkpoint_blob((4, 3), probe_dims=(3, 2), meta=b'{"seed": 1}'))
     net, probe, meta = load_checkpoint(path)
     assert net.layer_dims == [4, 3]
-    assert (probe.feature_dim, probe.n_classes) == (3, 2)
+    assert probe.layer_dims == [3, 2]
     assert meta == {"seed": 1}
 
 
@@ -217,6 +225,14 @@ def test_hand_built_checkpoint_loads(tmp_path):
 def test_checkpoint_whose_probe_does_not_fit_the_net_rejected(tmp_path, fd):
     path = tmp_path / "model.nwck"
     path.write_bytes(_checkpoint_blob((4, 3), probe_dims=(fd, 2)))
+    with pytest.raises(FormatError, match="probe"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("nc", [0, 1])
+def test_checkpoint_whose_probe_has_fewer_than_two_classes_rejected(tmp_path, nc):
+    path = tmp_path / "model.nwck"
+    path.write_bytes(_checkpoint_blob((4, 3), probe_dims=(3, nc)))
     with pytest.raises(FormatError, match="probe"):
         load_checkpoint(path)
 

@@ -5,8 +5,8 @@ from nwlearn import Rng, grad_check
 from nwlearn.errors import ContractError, DomainError, ShapeError
 from nwlearn.featnet import FeatureNet
 from nwlearn.nwhead import cross_entropy, nw_predict, onehot
-from nwlearn.tensor import Tape, Tensor, backward, matmul, mul, scale, softmax_rows, sqdist, sum_all, take_rows
-from taped_ops import log, shift, similarity
+from nwlearn.tensor import Tape, Tensor, backward, mul, scale, softmax_rows, sqdist, sum_all, take_rows
+from taped_ops import log, matmul, shift, similarity
 
 
 def test_similarity_zero_distance():

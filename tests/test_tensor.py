@@ -4,8 +4,8 @@ import pytest
 from nwlearn import Tape, Tensor, backward, grad_check
 from nwlearn.errors import ConfigError, ContractError, DomainError, ShapeError
 from nwlearn.optim import Adam, Sgd
-from nwlearn.tensor import _row_max, add, matmul, mul, scale, smallest_k, softmax, softmax_rows, sub, sum_all
-from taped_ops import log, mean_all, pairwise_sqdist, relu, sqrt
+from nwlearn.tensor import _row_max, add, mul, scale, smallest_k, softmax, softmax_rows, sub, sum_all
+from taped_ops import log, matmul, mean_all, pairwise_sqdist, relu, sqrt
 
 
 def test_matmul_identity():

@@ -5,7 +5,7 @@ import pytest
 from nwlearn import Rng, grad_check
 from nwlearn.data import Dataset, LabeledExample
 from nwlearn.errors import ConfigError, TrainingDiverged
-from nwlearn.featnet import FeatureNet, LinearHead
+from nwlearn.featnet import FeatureNet, linear_head
 from nwlearn.infer import InferenceMode, build_cache, knn_predict, predict
 from nwlearn.metrics import compute_metric
 from nwlearn.nwhead import cross_entropy, nw_predict, onehot
@@ -161,7 +161,7 @@ def test_explicit_needs_two_envs():
 def test_erm_zero_head_is_log_c():
     ds = toy_dataset(seed=23)
     net = FeatureNet((4, 6, 3), Rng(24))
-    head = LinearHead(3, 2)
+    head = linear_head(3, 2)
     loss, _ = VARIANTS["erm"].loss(net, head, ds, np.arange(10), n_c=8, lambda_=0.0, rng=Rng(0), env=None)
     assert loss.item() == pytest.approx(np.log(2), abs=1e-9)
 
