@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, ShapeError
 from .rng import Rng
-from .tensor import Tensor, _live_tape, _result
+from .tensor import Tensor, _all_finite, _live_tape
 
 DEFAULT_HIDDEN_DIMS = (64, 64)
 DEFAULT_FEATURE_DIM = 16
@@ -95,9 +95,10 @@ class FeatureNet:
         if x.data.ndim != 2 or x.shape[1] != self.input_dim:
             raise ShapeError(f"extract: inputs {x.shape} do not match input_dim {self.input_dim}")
         params = self.parameters()
-        if _live_tape(x, *params) is None:
+        tape = _live_tape(x, *params)
+        if tape is None:
             return Tensor(self._untaped(x.data))
-        x_taped, last = _live_tape(x) is not None, len(self.weights) - 1
+        x_taped, last = x.tape is tape, len(self.weights) - 1
         acts = [x.data]
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             acts.append(_layer(acts[-1], w.data, b.data, i, i != last))
@@ -106,13 +107,15 @@ class FeatureNet:
             grads = []
             for i in range(last, -1, -1):
                 if i != last:
-                    g = g * (acts[i + 1] > 0.0)
+                    g *= acts[i + 1] > 0.0  # in place: g is the product made at the layer above
                 grads += [g.sum(axis=0), acts[i].T @ g]
                 if i or x_taped:
                     g = g @ self.weights[i].data.T
             return ([g] if x_taped else []) + grads[::-1]
 
-        return _result(acts[-1], (x, *params) if x_taped else tuple(params), vjp)
+        out = Tensor(acts[-1], tape=tape)
+        tape._record(out, (x, *params) if x_taped else tuple(params), vjp)
+        return out
 
     def _untaped(self, x: np.ndarray) -> np.ndarray:
         n, last = len(x), len(self.weights) - 1
@@ -135,7 +138,7 @@ def _layer(h: np.ndarray, w: np.ndarray, b: np.ndarray, i: int, relu: bool) -> n
     h = h @ w
     h += b
     if relu:
-        if not np.isfinite(h).all():
+        if not _all_finite(h):
             raise DomainError(f"extract: non-finite pre-activation in layer {i}")
         np.maximum(h, 0.0, out=h)
     return h

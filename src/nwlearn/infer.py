@@ -35,7 +35,7 @@ from .nwhead import cross_entropy, nw_vote, nw_vote_shared, onehot
 from .optim import Adam
 from .rng import Rng
 from .support import SupportSpec, _class_bucket, sample_support
-from .tensor import Tape, backward, smallest_k, softmax_rows, sqdist
+from .tensor import Tape, Tensor, backward, smallest_k, softmax_rows, sqdist
 
 log = logging.getLogger(__name__)
 
@@ -191,11 +191,11 @@ def train_probe(cache: FeatureCache, lr: float = 0.05, epochs: int = 200) -> Fea
     (frozen) features."""
     head = linear_head(cache.features.shape[1], cache.n_classes)
     labels = onehot(cache.labels, cache.n_classes)
-    opt = Adam(lr=lr)
+    feats, opt = Tensor(np.atleast_2d(cache.features)), Adam(lr=lr)
     for _ in range(epochs):
         tape = Tape()
         tape.watch(*head.parameters())
-        loss = cross_entropy(softmax_rows(head.extract(cache.features)), labels)
+        loss = cross_entropy(softmax_rows(head.extract(feats)), labels)
         grads = backward(tape, loss)
         opt.step(head.parameters(), grads)
     return head

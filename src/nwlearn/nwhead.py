@@ -16,10 +16,13 @@ norms allow a distance above ``_SHIFT_BOUND``, where exp could underflow.
 
 from __future__ import annotations
 
+import math
+from functools import lru_cache
+
 import numpy as np
 
 from .errors import ContractError, DomainError, ShapeError
-from .tensor import Tensor, _result, _wrap, softmax, sqdist
+from .tensor import Tensor, _all_finite, _result, _row_sum, _wrap, softmax, sqdist
 
 # keeps the log in cross_entropy finite when a class weight underflows
 _CE_EPS = 1e-15
@@ -49,10 +52,11 @@ def nw_predict(query_feats, support_feats, onehot_labels) -> Tensor:
     if (q.data.ndim != 2 or s.data.ndim != 2 or labels.ndim != 2 or q.shape[1] != s.shape[1]
             or s.shape[0] != labels.shape[0]):
         raise ShapeError(f"nw_predict: queries {q.shape}, support {s.shape}, labels {labels.shape}")
-    if not (len(labels) and (labels.sum(axis=1) == 1).all() and ((labels == 0) | (labels == 1)).all()):
+    # a one-hot row equals the identity row at its argmax
+    if not (labels.size and (labels == _identity(labels.shape[1])[labels.argmax(axis=1)]).all()):
         raise ContractError("nw_predict needs a non-empty support whose onehot_labels rows have exactly one 1")
     dist = sqdist(q.data, s.data)
-    if not np.isfinite(dist).all():
+    if not _all_finite(dist):
         raise DomainError("nw_predict: non-finite squared distance")
     np.sqrt(dist, out=dist)
     weights = softmax(-1.0 * dist)
@@ -61,14 +65,14 @@ def nw_predict(query_feats, support_feats, onehot_labels) -> Tensor:
         dw = g @ labels.T
         dw -= (dw * weights).sum(axis=1, keepdims=True)
         dw *= weights
-        with np.errstate(divide="ignore", invalid="ignore"):
-            d2 = dw / (-2.0 * dist)
-        d2[dist == 0.0] = 0.0
+        # dw / -2D, and 0 where D = 0
+        d2 = np.divide(dw, -2.0 * dist, out=np.zeros(dw.shape), where=dist != 0.0)
         gq = 2.0 * (q.data * d2.sum(axis=1)[:, None] - d2 @ s.data)
         gs = 2.0 * (s.data * d2.sum(axis=0)[:, None] - d2.T @ q.data)
         return gq, gs
 
-    return _result(weights @ labels, (q, s), vjp)
+    # softmax weights of checked distances times checked one-hot labels
+    return _result(weights @ labels, (q, s), vjp, finite=True)
 
 
 def nw_vote_shared(q: np.ndarray, feats: np.ndarray, onehot_labels: np.ndarray,
@@ -133,16 +137,28 @@ def cross_entropy(pred_probs, onehot_labels) -> Tensor:
     if probs.shape != (n, c):
         raise ContractError(f"predictions {probs.shape} do not match labels {labels.shape}")
     coef = -1.0 / n
-    true_probs = (probs.data * labels).sum(axis=1) + _CE_EPS
+    true_probs = _row_sum(probs.data * labels) + _CE_EPS
     if true_probs.min() <= 0.0:
         raise DomainError(f"log of non-positive value {true_probs.min()}")
+    value = coef * np.log(true_probs).sum()
+    if not math.isfinite(value):
+        raise DomainError(f"cross_entropy: non-finite loss {value}")
 
     def vjp(g):
         return (((coef * g) / true_probs)[:, None] * labels,)
 
-    return _result(coef * np.log(true_probs).sum(), (probs,), vjp)
+    # checked above as one float, not by Tensor's array pass
+    return _result(value, (probs,), vjp, finite=True)
+
+
+@lru_cache
+def _identity(n_classes: int) -> np.ndarray:
+    eye = np.eye(n_classes, dtype=np.float64)
+    eye.flags.writeable = False
+    return eye
 
 
 def onehot(labels, n_classes: int) -> np.ndarray:
-    y = np.asarray(labels, dtype=np.int64)
-    return np.eye(n_classes, dtype=np.float64)[y]
+    """(n, n_classes) float64 rows with a 1 at each label; rows of one kept
+    identity, gathered into a new array."""
+    return _identity(n_classes)[np.asarray(labels, dtype=np.int64)]

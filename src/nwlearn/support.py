@@ -56,11 +56,14 @@ def sample_support(ds: Dataset, spec: SupportSpec, query_labels, rng: Rng) -> np
     """
     if spec.env is not None and spec.env not in ds.by_env:
         raise ConfigError(f"environment {spec.env} not present in dataset")
-    outside = {int(c) for c in query_labels} - set(range(ds.n_classes))
-    if outside:
+    labels = np.asarray(query_labels if isinstance(query_labels, np.ndarray) else list(query_labels),
+                        dtype=np.int64)
+    # a negative label wraps past every class id as uint64
+    if np.count_nonzero(labels.astype(np.uint64) >= ds.n_classes):
+        outside = sorted({int(c) for c in labels} - set(range(ds.n_classes)))
         raise CoverageError(
-            f"query labels {sorted(outside)} are not classes of the dataset",
-            class_id=min(outside),
+            f"query labels {outside} are not classes of the dataset",
+            class_id=outside[0],
         )
 
     if spec.balanced:
@@ -91,7 +94,7 @@ def sample_support(ds: Dataset, spec: SupportSpec, query_labels, rng: Rng) -> np
             fill = rng.choice(pool, size=fill_n, replace=True)
         idx = np.concatenate([np.array(cover, dtype=np.int64), fill])
 
-    return idx.astype(np.int64)
+    return idx.astype(np.int64, copy=False)
 
 
 def sample_env_pair(

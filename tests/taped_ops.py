@@ -1,7 +1,7 @@
 """Taped elementwise and distance ops that serve only as test references.
 
 The library fuses these chains into single taped nodes (``FeatureNet.extract``
-runs matmul/add/relu, and matmul/add alone for a one-layer head;
+runs matmul/bias add/relu, and matmul/bias add alone for a one-layer head;
 ``nw_predict`` runs distance/sqrt/softmax/matmul and ``cross_entropy`` runs
 select/offset/log/mean). The tests rebuild the chains from the ops below and
 compare values and gradients with the fused nodes.
@@ -27,6 +27,18 @@ def matmul(a, b) -> Tensor:
         return g @ b.data.T, a.data.T @ g
 
     return _result(a.data @ b.data, (a, b), vjp)
+
+
+def add_bias(x, b) -> Tensor:
+    """Matrix plus row vector: ``b`` is added to every row of ``x``."""
+    x, b = _wrap(x), _wrap(b)
+    if x.data.ndim != 2 or b.data.ndim != 1 or x.shape[1] != b.shape[0]:
+        raise ShapeError(f"add_bias: shapes {x.shape} and {b.shape} do not conform")
+
+    def vjp(g):
+        return g, g.sum(axis=0)
+
+    return _result(x.data + b.data, (x, b), vjp)
 
 
 def relu(x) -> Tensor:
@@ -99,6 +111,16 @@ def pairwise_sqdist(a, b) -> Tensor:
         return ga, gb
 
     return _result(d, (a, b), vjp)
+
+
+def composite_extract(net, x) -> Tensor:
+    """``net.extract(x)`` as a chain of matmul, add_bias and relu nodes."""
+    h = x if isinstance(x, Tensor) else Tensor(np.atleast_2d(x))
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        h = add_bias(matmul(h, w), b)
+        if i != len(net.weights) - 1:
+            h = relu(h)
+    return h
 
 
 def similarity(a, b) -> Tensor:

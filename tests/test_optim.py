@@ -5,7 +5,7 @@ from nwlearn import Rng
 from nwlearn.errors import ContractError
 from nwlearn.featnet import FeatureNet, linear_head
 from nwlearn.optim import Adam
-from nwlearn.tensor import Tensor
+from nwlearn.tensor import Tape, Tensor, backward, mul, sum_all
 
 
 class ReferenceAdam:
@@ -118,3 +118,78 @@ def test_flat_adam_updates_one_vector_in_place(weight_decay):
         views = [p.data for p in params]
         for p, want in zip(params, reference):
             assert np.abs(p.data - want).max() <= 1e-15
+
+
+def _numpy_adam(values, grads, m, v, t, lr, weight_decay):
+    """One plain-numpy Adam step over lists of arrays, moments updated in place."""
+    out = []
+    for a, g, mi, vi in zip(values, grads, m, v):
+        mi *= 0.9
+        mi += (1.0 - 0.9) * g
+        vi *= 0.999
+        vi += (1.0 - 0.999) * (g * g)
+        denom = np.sqrt(vi / (1.0 - 0.999 ** t)) + 1e-8
+        out.append(a - lr * (mi / (1.0 - 0.9 ** t)) / denom - lr * weight_decay * a)
+    return out
+
+
+def test_adam_on_backwards_flat_gradients_matches_numpy_adam_bit_for_bit():
+    net, head = _net_and_head()
+    unreached = Tensor(np.linspace(-1.0, 1.0, 6).reshape(2, 3))  # the loss never reads it
+    params = net.parameters() + [unreached] + head.parameters()
+    gen = np.random.default_rng(65)
+    x, upstream = Tensor(gen.normal(size=(6, 5))), Tensor(gen.normal(size=(6, 4)))
+    opt = Adam(lr=1e-2, weight_decay=0.05)
+    values = [p.data.copy() for p in params]
+    m, v = [np.zeros_like(a) for a in values], [np.zeros_like(a) for a in values]
+    for step in range(1, 6):
+        if step == 3:
+            # a rebound parameter makes Adam gather the values again
+            net.weights[1].data = net.weights[1].data.copy()
+        tape = Tape()
+        tape.watch(*params)
+        grads = backward(tape, sum_all(mul(head.extract(net.extract(x)), upstream)))
+        assert grads.params == tuple(params) and not grads[unreached].data.any()
+        assert grads.reads_flat()
+        before = grads.flat.copy()
+        opt.step(params, grads)
+        assert grads.flat.tobytes() == before.tobytes()
+        values = _numpy_adam(values, [grads[p].data for p in params], m, v, step, 1e-2, 0.05)
+        for p, want in zip(params, values):
+            assert p.data.tobytes() == want.tobytes()
+
+
+def test_adam_reads_gradients_in_another_order_by_gathering_them():
+    net, head = _net_and_head()
+    params = net.parameters() + head.parameters()
+    x = Tensor(np.random.default_rng(66).normal(size=(4, 5)))
+    flat_opt, gathered_opt = Adam(lr=1e-2), Adam(lr=1e-2)
+    copies = [Tensor(p.data.copy()) for p in params]
+    for _ in range(3):
+        tape = Tape()
+        tape.watch(*params[::-1])
+        grads = backward(tape, sum_all(head.extract(net.extract(x))))
+        before = grads.flat.copy()
+        flat_opt.step(params, grads)
+        assert grads.flat.tobytes() == before.tobytes()
+        gathered_opt.step(copies, {c: Tensor(grads[p].data.copy()) for c, p in zip(copies, params)})
+        for p, c in zip(params, copies):
+            assert p.data.tobytes() == c.data.tobytes()
+
+
+def test_adam_reads_a_rebound_gradient_instead_of_the_flat_vector():
+    net, head = _net_and_head()
+    params = net.parameters() + head.parameters()
+    x = Tensor(np.random.default_rng(67).normal(size=(4, 5)))
+    flat_opt, gathered_opt = Adam(lr=1e-2), Adam(lr=1e-2)
+    copies = [Tensor(p.data.copy()) for p in params]
+    tape = Tape()
+    tape.watch(*params)
+    grads = backward(tape, sum_all(head.extract(net.extract(x))))
+    grads[params[0]].data *= 0.5  # in place: reaches the flat vector
+    grads[params[1]].data = grads[params[1]].data * 4.0  # rebound: the flat vector no longer holds it
+    assert not grads.reads_flat()
+    flat_opt.step(params, grads)
+    gathered_opt.step(copies, {c: Tensor(grads[p].data.copy()) for c, p in zip(copies, params)})
+    for p, c in zip(params, copies):
+        assert p.data.tobytes() == c.data.tobytes()

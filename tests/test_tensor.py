@@ -4,8 +4,22 @@ import pytest
 from nwlearn import Tape, Tensor, backward, grad_check
 from nwlearn.errors import ConfigError, ContractError, DomainError, ShapeError
 from nwlearn.optim import Adam, Sgd
-from nwlearn.tensor import _row_max, add, mul, scale, smallest_k, softmax, softmax_rows, sub, sum_all
-from taped_ops import log, matmul, mean_all, pairwise_sqdist, relu, sqrt
+from nwlearn.featnet import FeatureNet, linear_head
+from nwlearn.rng import Rng
+from nwlearn.tensor import (
+    Gradients,
+    _row_max,
+    _row_sum,
+    add,
+    mul,
+    scale,
+    smallest_k,
+    softmax,
+    softmax_rows,
+    sub,
+    sum_all,
+)
+from taped_ops import add_bias, composite_extract, log, matmul, mean_all, pairwise_sqdist, relu, sqrt
 
 
 def test_matmul_identity():
@@ -137,7 +151,7 @@ def test_all_primitives_gradients_match_finite_differences(seed):
         ([a, b], lambda: sum_all(matmul(a, b))),
         ([m1, m2], lambda: sum_all(mul(m1, m2))),
         ([m1, m2], lambda: sum_all(add(m1, m2))),
-        ([m1, bias], lambda: sum_all(add(m1, bias))),
+        ([m1, bias], lambda: sum_all(add_bias(m1, bias))),
         ([m1], lambda: sum_all(relu(m1))),
         ([m1], lambda: mean_all(scale(m1, -1.7))),
         ([pos], lambda: sum_all(sqrt(pos))),
@@ -176,6 +190,59 @@ def test_row_max_and_softmax_are_bit_identical_to_the_plain_reduction(shape):
             expect = np.exp(x - plain)
             expect /= expect.sum(axis=1, keepdims=True)
             assert softmax(x).tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(3000, 2), (64, 2), (63, 2), (3000, 3), (2, 2), (1, 2), (50, 1)])
+def test_row_sum_is_bit_identical_to_the_plain_reduction(shape):
+    gen = np.random.default_rng(14)
+    # signed zeros: numpy's reduction turns a row of two -0.0 into 0.0
+    values = np.array([-0.0, 0.0, -1.5, 1.5, 2.25, 1e308, -1e-300])
+    for v in (gen.choice(values, size=shape), gen.normal(size=shape) * 30.0):
+        # C-ordered, Fortran-ordered, transposed and column-strided layouts of the same values
+        for x in (v, np.asfortranarray(v), np.ascontiguousarray(v.T).T, np.repeat(v, 2, axis=1)[:, ::2]):
+            with np.errstate(over="ignore"):
+                assert _row_sum(x).tobytes() == x.sum(axis=1).tobytes()
+
+
+def _net_head_loss(net, head, x, upstream, extract):
+    return sum_all(mul(softmax_rows(extract(head, extract(net, x))), Tensor(upstream)))
+
+
+def test_backward_gradients_are_views_of_one_flat_vector_in_watch_order():
+    gen = np.random.default_rng(15)
+    net, head = FeatureNet((5, 7, 3), Rng(16)), linear_head(3, 2)
+    head.weights[0].data = gen.normal(size=(3, 2))
+    x, upstream = Tensor(gen.normal(size=(9, 5))), gen.normal(size=(9, 2))
+    params = net.parameters() + head.parameters()
+
+    got, want = [], []
+    for extract, out in ((FeatureNet.extract, got), (composite_extract, want)):
+        tape = Tape()
+        tape.watch(*params)
+        out.append(backward(tape, _net_head_loss(net, head, x, upstream, extract)))
+    grads, reference = got[0], want[0]
+    assert isinstance(grads, Gradients) and grads.params == tuple(params)
+    assert list(grads) == params and grads.flat.size == sum(p.size for p in params)
+    start, origin = 0, grads.flat.__array_interface__["data"][0]
+    for p in params:
+        g = grads[p].data
+        assert g.shape == p.shape and g.__array_interface__["data"][0] == origin + 8 * start
+        assert np.shares_memory(g, grads.flat)
+        assert g.tobytes() == reference[p].data.tobytes()
+        start += p.size
+    assert grads.flat.tobytes() == np.concatenate([reference[p].data.ravel() for p in params]).tobytes()
+
+
+def test_backward_raises_on_a_finite_loss_whose_gradient_overflows():
+    x = Tensor([0.0, 0.0])
+    big = Tensor([1e308, 1e308])
+    tape = Tape()
+    tape.watch(x)
+    # the value is 0, but the two uses of x add two 1e308 gradients
+    loss = add(sum_all(mul(x, big)), sum_all(mul(x, big)))
+    assert loss.item() == 0.0
+    with np.errstate(over="ignore"), pytest.raises(DomainError, match="non-finite gradient"):
+        backward(tape, loss)
 
 
 def test_sgd_definition():

@@ -4,12 +4,13 @@ import pytest
 
 from nwlearn import Rng, grad_check
 from nwlearn.data import Dataset, LabeledExample
-from nwlearn.errors import ConfigError, TrainingDiverged
+from nwlearn.errors import ConfigError, DomainError, TrainingDiverged
 from nwlearn.featnet import FeatureNet, linear_head
 from nwlearn.infer import InferenceMode, build_cache, knn_predict, predict
 from nwlearn.metrics import compute_metric
 from nwlearn.nwhead import cross_entropy, nw_predict, onehot
 from nwlearn.support import SupportSpec, sample_env_pair, sample_query_batch, sample_support
+from nwlearn.tensor import Tensor, add, mul, sum_all
 from nwlearn.trainer import VARIANTS, TrainConfig, nw_loss, train
 
 
@@ -235,6 +236,34 @@ def test_training_diverged_names_the_step_and_epoch():
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingDiverged) as info:
         train(ds, val, cfg)
     assert "non-finite loss at step 1 (epoch 0)" in str(info.value)
+
+
+def test_a_finite_loss_with_an_overflowing_gradient_diverges_at_its_step(monkeypatch):
+    import nwlearn.trainer as trainer_module
+
+    ds = toy_dataset(seed=43)
+    val = Dataset([LabeledExample(x=ex.x, y=ex.y, e=5) for ex in toy_dataset(seed=44).examples], 2)
+    cfg = TrainConfig(variant="nw_implicit", max_epochs=1, seed=45, eval_every=0,
+                      hidden_dims=(8,), feature_dim=4)
+    original, losses = trainer_module.nw_loss, []
+
+    def overflowing_at_step_3(net, *args):
+        loss, penalty = original(net, *args)
+        if len(losses) == 3:
+            # two uses of the small first-layer bias, each with gradient 1e308:
+            # the value stays finite, their summed gradient does not
+            b = net.biases[0]
+            big = Tensor(np.full(b.shape, 1e308))
+            loss = add(loss, add(sum_all(mul(b, big)), sum_all(mul(b, big))))
+        losses.append(loss.item())
+        return loss, penalty
+
+    monkeypatch.setattr(trainer_module, "nw_loss", overflowing_at_step_3)
+    with np.errstate(over="ignore"), pytest.raises(TrainingDiverged) as info:
+        train(ds, val, cfg)
+    assert len(losses) == 4 and np.isfinite(losses).all()
+    assert "at step 3 (epoch 0)" in str(info.value) and "non-finite gradient" in str(info.value)
+    assert isinstance(info.value.__cause__, DomainError)
 
 
 def test_train_rejects_overlapping_val_envs():
