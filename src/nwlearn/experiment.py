@@ -22,7 +22,7 @@ import numpy as np
 from .data import Dataset
 from .errors import ConfigError, ParseError
 from .infer import InferenceMode, build_cache, predict, train_probe
-from .io import load_csv, save_checkpoint
+from .io import load_csv, read_utf8, save_checkpoint
 from .metrics import METRICS, compute_metric
 from .rng import Rng
 from .scmgen import imbalanced_benchmark, prevalence_filter, spurious_benchmark
@@ -264,7 +264,7 @@ def run_prevalence_sweep(cfg: ExperimentConfig, prevalences=PREVALENCES) -> Expe
 def parse_config_file(path) -> dict[str, str]:
     """Flat ``key = value`` lines; ``#`` starts a comment."""
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(read_utf8(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -191,13 +191,13 @@ def train_probe(cache: FeatureCache, lr: float = 0.05, epochs: int = 200) -> Fea
     (frozen) features."""
     head = linear_head(cache.features.shape[1], cache.n_classes)
     labels = onehot(cache.labels, cache.n_classes)
-    feats, opt = Tensor(np.atleast_2d(cache.features)), Adam(lr=lr)
+    feats, opt = Tensor(np.atleast_2d(cache.features)), Adam(head.parameters(), lr=lr)
     for _ in range(epochs):
         tape = Tape()
         tape.watch(*head.parameters())
         loss = cross_entropy(softmax_rows(head.extract(feats)), labels)
         grads = backward(tape, loss)
-        opt.step(head.parameters(), grads)
+        opt.step(grads)
     return head
 
 

@@ -59,8 +59,19 @@ def load_csv(path) -> Dataset:
     return _scan_csv(path)
 
 
+def read_utf8(path) -> str:
+    """The text of a UTF-8 file; ParseError carrying the line (counted by
+    ``\\n``) of the first byte that is not UTF-8."""
+    blob = Path(path).read_bytes()
+    try:
+        return blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = blob.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"line {line} is not UTF-8: byte {blob[exc.start]:#04x}", line=line) from None
+
+
 def _scan_csv(path) -> Dataset:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = read_utf8(path).splitlines()
     if not lines:
         raise ParseError("empty file", line=1)
     d = lines[0].count(",") - 1
@@ -138,7 +149,7 @@ class _Reader:
         return struct.unpack("<I", self.take(4))[0]
 
     def f64_array(self, shape) -> np.ndarray:
-        count = int(np.prod(shape))
+        count = math.prod(shape)  # Python ints: np.prod wraps past 2**63
         arr = np.frombuffer(self.take(8 * count), dtype="<f8").astype(np.float64)
         return arr.reshape(shape)
 

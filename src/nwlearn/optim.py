@@ -1,17 +1,16 @@
 """SGD and Adam with decoupled weight decay.
 
+An optimizer is made over its parameters and owns their values: it
+copies them, in order, into one flat vector ``flat`` and rebinds each
+parameter's data to its view of it. ``step(grads)`` reads ``grads.flat``,
+the flat gradient that :func:`~nwlearn.tensor.backward` returns, already
+checked finite, when the parameters were watched in the optimizer's
+order; it updates ``flat`` in place and never writes into the gradient.
 Weight decay is applied as p <- p - lr * wd * p on top of the gradient
-update, for both optimizers. The optimizer is the single writer of
-parameter data; Adam writes it in place. Gradients come from
-:func:`~nwlearn.tensor.backward` as one flat vector in watch order,
-already checked finite; Adam reads that vector as it is when the watch
-order is its parameter order, and never writes into it.
+update, for both optimizers.
 """
 
 from __future__ import annotations
-
-import operator
-from collections.abc import Mapping
 
 import numpy as np
 
@@ -22,67 +21,56 @@ from .tensor import Gradients, Tensor
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
 
-class Sgd:
-    def __init__(self, lr: float, weight_decay: float = 0.0):
+class _FlatOptimizer:
+    def __init__(self, params: list[Tensor], lr: float, weight_decay: float = 0.0):
         if lr <= 0:
             raise ConfigError(f"lr must be positive, got {lr}")
+        if weight_decay < 0:
+            raise ConfigError(f"weight_decay must be >= 0, got {weight_decay}")
         self.lr = lr
         self.weight_decay = weight_decay
-
-    def step(self, params: list[Tensor], grads: Mapping[Tensor, Tensor]):
-        for p in params:
-            g = grads[p].data
-            p.data = p.data - self.lr * g - self.lr * self.weight_decay * p.data
-
-
-class Adam:
-    """Adam over one flat vector of parameter values.
-
-    The first step fixes the parameter layout (the shape of each parameter
-    in order), gathers the values into one flat vector and rebinds each
-    parameter's data to its view of it; later steps update the values and
-    the flat moments in place. A step whose parameters are not all those
-    views (an assignment to ``p.data`` rebinds one) gathers again; a step
-    with another layout raises ContractError. The gradients are read from
-    ``grads.flat`` when ``grads`` comes from ``backward`` with the
-    parameters watched in this order and no gradient's ``data`` rebound,
-    else gathered into a new vector.
-    """
-
-    def __init__(self, lr: float, weight_decay: float = 0.0):
-        if lr <= 0:
-            raise ConfigError(f"lr must be positive, got {lr}")
-        self.lr = lr
-        self.weight_decay = weight_decay
-        self._m = self._v = self._buf = self._buf2 = self._flat = None
-        self._views: list[np.ndarray] = []
-        self._t = 0
-
-    def _gather(self, params: list[Tensor]):
-        layout, sized = [p.data.shape for p in params], [w.shape for w in self._views]
-        if self._m is None:
-            n = sum(p.data.size for p in params)
-            self._m, self._v, self._buf, self._buf2 = np.zeros(n), np.zeros(n), np.empty(n), np.empty(n)
-        elif layout != sized:
-            raise ContractError(f"Adam was sized for parameters {sized}, got {layout}")
-        self._flat = np.concatenate([p.data.ravel() for p in params])
+        self.params = tuple(params)
+        self.flat = np.concatenate([p.data.ravel() for p in self.params])
         self._views, start = [], 0
-        for p in params:
+        for p in self.params:
             stop = start + p.data.size
-            p.data = self._flat[start:stop].reshape(p.data.shape)
+            p.data = self.flat[start:stop].reshape(p.data.shape)
             self._views.append(p.data)
             start = stop
 
-    def step(self, params: list[Tensor], grads: Mapping[Tensor, Tensor]):
-        if len(params) != len(self._views) or not all(map(operator.is_, [p.data for p in params], self._views)):
-            self._gather(params)
+    def _grad(self, grads: Gradients) -> np.ndarray:
+        """``grads.flat``; ContractError unless it is the gradient of this
+        optimizer's parameters, watched in its order, and every parameter
+        is still its view of ``flat``."""
+        if grads.params != self.params:
+            what = "in another watch order" if set(grads.params) == set(self.params) else "over other parameters"
+            raise ContractError(f"the gradients were taken {what} than the optimizer was made over")
+        if not all(p.data is view for p, view in zip(self.params, self._views)):
+            raise ContractError("a parameter's data was rebound after the optimizer was made")
+        return grads.flat
+
+
+class Sgd(_FlatOptimizer):
+    def step(self, grads: Gradients):
+        g, flat = self._grad(grads), self.flat
+        flat[:] = flat - self.lr * g - self.lr * self.weight_decay * flat
+
+
+class Adam(_FlatOptimizer):
+    """Adam over the flat vector, its moments two more flat vectors
+    updated in place."""
+
+    def __init__(self, params: list[Tensor], lr: float, weight_decay: float = 0.0):
+        super().__init__(params, lr, weight_decay)
+        n = self.flat.size
+        self._m, self._v, self._buf, self._buf2 = np.zeros(n), np.zeros(n), np.empty(n), np.empty(n)
+        self._t = 0
+
+    def step(self, grads: Gradients):
+        g = self._grad(grads)
         self._t += 1
         b1, b2 = _BETA1, _BETA2
-        m, v, u, w, flat = self._m, self._v, self._buf, self._buf2, self._flat
-        if isinstance(grads, Gradients) and grads.params == tuple(params) and grads.reads_flat():
-            g = grads.flat
-        else:
-            g = np.concatenate([grads[p].data.ravel() for p in params])
+        m, v, u, w, flat = self._m, self._v, self._buf, self._buf2, self.flat
         # m = b1 m + (1 - b1) g and v = b2 v + (1 - b2) g^2, in place
         m *= b1
         v *= b2

@@ -15,8 +15,9 @@ Finiteness is checked once per value: ``Tensor(...)`` checks what it wraps,
 and an op's result is checked unless it is finite by construction (a slice
 of a checked value, a softmax, a vote of a softmax over one-hot labels;
 each such site says why). :func:`backward` copies the parameter gradients
-into one flat vector in watch order and checks it in one pass; ``Adam``
-reads that vector as it is. Intermediate gradients are not checked.
+into one flat vector in watch order and checks it in one pass; an
+optimizer made over the watched parameters reads that vector as it is.
+Intermediate gradients are not checked.
 """
 
 from __future__ import annotations
@@ -78,9 +79,10 @@ def _trusted(data, tape=None) -> Tensor:
 class Gradients(Mapping):
     """Read-only d(loss)/d(p) per watched parameter, from :func:`backward`.
 
-    ``flat`` holds every gradient in watch order (``params``). Each value is
-    a Tensor over its parameter's view of ``flat``, made on the first read:
-    ``Adam`` reads ``flat`` and never needs them.
+    ``flat`` holds every gradient in watch order (``params``); it is what
+    an optimizer's ``step`` reads. Each value is a Tensor over its
+    parameter's view of ``flat``, made on the first read: an edit in place
+    reaches ``flat``, a rebound ``data`` does not.
     """
 
     __slots__ = ("flat", "params", "_shapes", "_views")
@@ -96,11 +98,6 @@ class Gradients(Mapping):
                 self._views[q] = _trusted(self.flat[start:stop].reshape(shape))  # flat is checked
                 start = stop
         return self._views[p]
-
-    def reads_flat(self) -> bool:
-        """Whether ``flat`` still holds every gradient: no value read so far
-        had its ``data`` rebound (writes in place reach ``flat``)."""
-        return self._views is None or all(t.data.base is self.flat for t in self._views.values())
 
     def __iter__(self):
         return iter(self.params)

@@ -204,7 +204,7 @@ def train(ds_train: Dataset, ds_val_ood: Dataset, cfg: TrainConfig, metric: str 
     head = linear_head(cfg.feature_dim, ds_train.n_classes) if row.support is None else None
     model = net if head is None else ErmModel(net, head)
     params = model.parameters()
-    opt = OPTIMIZERS[cfg.optimizer](cfg.lr, cfg.weight_decay)
+    opt = OPTIMIZERS[cfg.optimizer](params, cfg.lr, cfg.weight_decay)
 
     draw = sample_balanced_query_batch if head is not None and row.balanced else sample_query_batch
     steps_per_epoch = max(1, len(ds_train) // cfg.n_q)
@@ -218,7 +218,7 @@ def train(ds_train: Dataset, ds_val_ood: Dataset, cfg: TrainConfig, metric: str 
             report.best_val_metric = value
             report.selected_epoch = epoch
             report.selected_step = global_step
-            best_snapshot = [p.data.copy() for p in params]
+            best_snapshot = opt.flat.copy()
 
     for epoch in range(cfg.max_epochs):
         env_cycle = r_env.permutation(np.array(ds_train.env_ids))
@@ -236,7 +236,7 @@ def train(ds_train: Dataset, ds_val_ood: Dataset, cfg: TrainConfig, metric: str 
                 raise TrainingDiverged(
                     f"non-finite loss at step {global_step} (epoch {epoch}): {exc}"
                 ) from exc
-            opt.step(params, grads)
+            opt.step(grads)
             losses.append(loss_val)
             penalties.append(0.0 if penalty is None else penalty.item())
             global_step += 1
@@ -252,6 +252,5 @@ def train(ds_train: Dataset, ds_val_ood: Dataset, cfg: TrainConfig, metric: str 
         log.info("epoch %d: loss %.4f val %.4f", epoch, report.epochs[-1].train_loss, val_value)
 
     if best_snapshot is not None:
-        for p, data in zip(params, best_snapshot):
-            p.data = data
+        opt.flat[:] = best_snapshot
     return model, report

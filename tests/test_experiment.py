@@ -6,7 +6,7 @@ import pytest
 
 import nwlearn.experiment
 from nwlearn.cli import main as cli_main
-from nwlearn.errors import ConfigError
+from nwlearn.errors import ConfigError, ParseError
 from nwlearn.experiment import (
     ExperimentConfig,
     aggregate_records,
@@ -230,6 +230,18 @@ def test_cli_bad_outside_input_is_one_error_line(tmp_path, capsys, argv):
         cfg.write_text(line + "\n")
     code = cli_main([arg.format(missing=missing, cfg=cfg) for arg in argv] + ["--out", str(tmp_path / "run")])
     assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not (tmp_path / "run").exists()
+
+
+def test_a_config_that_is_not_utf8_is_a_parse_error_and_one_cli_error_line(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"# spurious data\ndata = sp\xffurious\n")
+    with pytest.raises(ParseError, match="not UTF-8") as exc:
+        parse_config_file(cfg)
+    assert exc.value.line == 2
+    assert cli_main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert not (tmp_path / "run").exists()

@@ -117,6 +117,18 @@ def test_parse_errors_report_their_line(tmp_path, body, line):
     assert exc.value.line == line
 
 
+@pytest.mark.parametrize("blob, line", [
+    (b"x_0,x_1,y,e\n0.5,1.5,0,0\n0.5,1\xff.5,1,0\n", 3),
+    (b"x_0,x_\xff1,y,e\n0.5,1.5,0,0\n", 1),
+], ids=["row", "header"])
+def test_a_csv_that_is_not_utf8_reports_the_line_of_its_first_bad_byte(tmp_path, blob, line):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(blob)
+    with pytest.raises(ParseError, match="not UTF-8") as exc:
+        load_csv(path)
+    assert exc.value.line == line
+
+
 @pytest.mark.parametrize("text, line", [("", 1), ("x_0,y,e\n", 1), ("x_0,y,e\n\n\n", 3)])
 def test_empty_files_are_rejected(tmp_path, text, line):
     path = tmp_path / "empty.csv"
@@ -244,3 +256,10 @@ def test_checkpoint_with_bytes_after_the_metadata_rejected(tmp_path, tail):
     with pytest.raises(FormatError, match="after the metadata"):
         load_checkpoint(path)
 
+
+def test_checkpoint_whose_dims_multiply_past_2_63_is_truncated(tmp_path):
+    # (2**32 - 1)**2 weights: a count that np.prod would wrap in int64
+    path = tmp_path / "huge.nwck"
+    path.write_bytes(_checkpoint_blob((4, 3))[:12] + struct.pack("<II", 2**32 - 1, 2**32 - 1) + bytes(64))
+    with pytest.raises(FormatError, match="truncated"):
+        load_checkpoint(path)

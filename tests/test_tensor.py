@@ -245,47 +245,59 @@ def test_backward_raises_on_a_finite_loss_whose_gradient_overflows():
         backward(tape, loss)
 
 
+def _grads(p, g):
+    """Gradients over the one parameter ``p``."""
+    return Gradients(np.asarray(g, dtype=np.float64).ravel(), (p,), [p.shape])
+
+
 def test_sgd_definition():
     p = Tensor([0.0])
-    opt = Sgd(lr=0.1)
-    opt.step([p], {p: Tensor([1.0])})
+    opt = Sgd([p], lr=0.1)
+    opt.step(_grads(p, [1.0]))
     assert p.data.tolist() == pytest.approx([-0.1])
 
 
 def test_zero_gradient_leaves_params_unchanged():
-    for opt in (Sgd(lr=0.1), Adam(lr=0.1)):
+    for make in (Sgd, Adam):
         p = Tensor([2.5])
-        opt.step([p], {p: Tensor([0.0])})
+        make([p], lr=0.1).step(_grads(p, [0.0]))
         assert p.data.tolist() == pytest.approx([2.5])
 
 
 def test_sgd_decoupled_weight_decay():
     # p - lr*wd*p = 2 - 0.1*0.5*2
     p = Tensor([2.0])
-    opt = Sgd(lr=0.1, weight_decay=0.5)
-    opt.step([p], {p: Tensor([0.0])})
+    opt = Sgd([p], lr=0.1, weight_decay=0.5)
+    opt.step(_grads(p, [0.0]))
     assert p.data.tolist() == pytest.approx([1.9])
 
 
 def test_optimizer_rejects_nonpositive_lr():
     with pytest.raises(ConfigError):
-        Sgd(lr=0.0)
+        Sgd([Tensor([1.0])], lr=0.0)
     with pytest.raises(ConfigError):
-        Adam(lr=-1.0)
+        Adam([Tensor([1.0])], lr=-1.0)
+
+
+def test_optimizer_rejects_negative_weight_decay():
+    for make in (Sgd, Adam):
+        p = Tensor([1.0])
+        with pytest.raises(ConfigError, match="weight_decay"):
+            make([p], lr=0.1, weight_decay=-0.5)
 
 
 def test_adam_trajectory_is_deterministic():
     def run():
         rng = np.random.default_rng(11)
         p = Tensor(rng.normal(size=(4, 3)))
-        opt = Adam(lr=0.05)
+        opt = Adam([p], lr=0.05)
         trail = []
         for _ in range(20):
             tape = Tape()
             tape.watch(p)
             loss = sum_all(mul(p, p))
             grads = backward(tape, loss)
-            opt.step([p], grads)
+            opt.step(grads)
             trail.append(p.data.copy())
         return np.stack(trail)
 

@@ -306,6 +306,23 @@ def test_selected_checkpoint_maximizes_val_metric():
     assert report.best_val_metric == max(ep.val_metric for ep in report.epochs)
 
 
+@pytest.mark.parametrize("variant, seed", [("nw_implicit", 59), ("erm", 57)])
+def test_train_returns_the_parameters_of_the_selected_check(variant, seed):
+    ds = toy_dataset(n=120, seed=seed, separation=0.5)
+    val = Dataset([LabeledExample(x=ex.x, y=ex.y, e=5) for ex in toy_dataset(seed=seed + 100, separation=0.5).examples], 2)
+    cfg = TrainConfig(variant=variant, max_epochs=2, seed=seed, eval_every=5, lr=0.01,
+                      hidden_dims=(8,), feature_dim=4)
+    model, report = train(ds, val, cfg)
+    # the selected check is not the last, and the last scored lower
+    assert report.selected_step < cfg.max_epochs * (len(ds) // cfg.n_q)
+    assert report.epochs[-1].val_metric < report.best_val_metric
+    if variant == "erm":  # the head is restored with the net
+        probs = model.predict_probs(val.X)
+    else:
+        probs = predict(InferenceMode("full"), build_cache(model, ds), model.extract(val.X).data)
+    assert compute_metric(probs, val.y, val.e, "accuracy") == report.best_val_metric
+
+
 @pytest.mark.parametrize("variant", list(VARIANTS))
 def test_selection_scores_its_own_support(variant):
     # 9:1 class skew and weak separation, so a class-balanced vote would
