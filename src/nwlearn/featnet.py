@@ -1,8 +1,9 @@
 """Feature extractor: a small MLP mapping input vectors to feature vectors.
 
 Relu on every layer but the last. The parametric ERM baselines and the
-frozen-feature probe score a ``linear_head``, a zero-initialized one-layer
-net whose features are the class logits. The whole net is one taped node
+frozen-feature probe score a ``linear_head``, a one-layer net whose features
+are the class logits: zero for ERM to train, ``_fit_logistic``'s optimum for
+the probe (``logistic_head``). The whole net is one taped node
 whenever the input or a parameter sits on a live tape; otherwise extraction
 is a pure numpy evaluation that keeps no intermediate. Untaped, the layers
 run over blocks of rows whose hidden temporaries stay under glibc's default
@@ -151,3 +152,40 @@ def linear_head(feature_dim: int, n_classes: int) -> FeatureNet:
         raise ConfigError(f"a head needs >= 2 classes, got {n_classes}")
     return FeatureNet.from_weights([feature_dim, n_classes], [np.zeros((feature_dim, n_classes))],
                                    [np.zeros(n_classes)])
+
+
+def logistic_head(feats: np.ndarray, labels: np.ndarray, n_classes: int, reg: float) -> FeatureNet:
+    """One-vs-rest ``linear_head``: column c is ``_fit_logistic(feats, labels == c, reg)``.
+    A class of no row or of every row has no finite optimum; its column gets a zero
+    slope and the bias log((n_c + 1/2) / (n - n_c + 1/2)), so one class predicts itself."""
+    head = linear_head(feats.shape[1], n_classes)
+    for c in range(n_classes):
+        y = (labels == c).astype(np.float64)
+        if 0 < y.sum() < len(y):
+            head.weights[0].data[:, c], head.biases[0].data[c] = _fit_logistic(feats, y, reg=reg)
+        else:
+            head.biases[0].data[c] = np.log((y.sum() + 0.5) / (len(y) - y.sum() + 0.5))
+    return head
+
+
+def _fit_logistic(z: np.ndarray, y: np.ndarray, weights: np.ndarray | None = None,
+                  reg: float = 0.02):
+    """Binary logistic regression, optionally with per-row weights and an
+    L2 term on the slope, fitted by Newton's method (IRLS) until the
+    largest step is below 1e-10 (at most 50 steps): the converged optimum,
+    independent of any step size. The small default L2 term trades a bias
+    shared across per-environment fits for less variance, so the invariance
+    gap reflects posterior differences rather than near-boundary noise.
+    """
+    weights = np.full(len(y), 1.0 / len(y)) if weights is None else weights / weights.sum()
+    x = np.hstack([z, np.ones((len(z), 1))])
+    ridge = np.diag(np.r_[np.full(z.shape[1], reg), 0.0])
+    beta = np.zeros(x.shape[1])
+    for _ in range(50):
+        p = 1.0 / (1.0 + np.exp(-(x @ beta)))
+        hess = x.T @ (x * (weights * p * (1.0 - p))[:, None]) + ridge
+        step = np.linalg.solve(hess, x.T @ (weights * (p - y)) + ridge @ beta)
+        beta -= step
+        if np.abs(step).max() < 1e-10:
+            break
+    return beta[:-1], beta[-1]

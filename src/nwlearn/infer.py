@@ -6,7 +6,7 @@ class: the rows that the training sampler ``support.sample_support``
 draws from the cache, voting with their cached features and labels), Full
 (entire training set, class-balanced by per-class weights), Ensemble
 (average of per-environment predictions), Cluster (per-class k-means
-centroids), exact k-NN and HNSW, plus a linear probe trained on the
+centroids), exact k-NN and HNSW, plus a converged logistic probe on the
 frozen features. Supports shared by every query (Random, Full,
 Ensemble, Cluster, and exact k-NN at k = |cache|) vote through the
 row-blocked ``nwhead.nw_vote_shared``; k-NN and HNSW, whose support
@@ -28,14 +28,13 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ConfigError, ContractError, CoverageError, DomainError
-from .featnet import FeatureNet, linear_head
+from .featnet import FeatureNet, logistic_head
 from .hnsw import HnswIndex
 from .kmeans import kmeans
-from .nwhead import cross_entropy, nw_vote, nw_vote_shared, onehot
-from .optim import Adam
+from .nwhead import nw_vote, nw_vote_shared, onehot
 from .rng import Rng
 from .support import SupportSpec, _class_bucket, sample_support
-from .tensor import Tape, Tensor, backward, smallest_k, softmax_rows, sqdist
+from .tensor import smallest_k, softmax_rows, sqdist
 
 log = logging.getLogger(__name__)
 
@@ -186,19 +185,10 @@ def knn_predict(cache: FeatureCache, query_feats, k: int, exact: bool = True,
     return nw_vote(-dist, onehot(cache.labels[idx], cache.n_classes))
 
 
-def train_probe(cache: FeatureCache, lr: float = 0.05, epochs: int = 200) -> FeatureNet:
-    """Fit a linear softmax classifier, a ``linear_head``, on the cached
-    (frozen) features."""
-    head = linear_head(cache.features.shape[1], cache.n_classes)
-    labels = onehot(cache.labels, cache.n_classes)
-    feats, opt = Tensor(np.atleast_2d(cache.features)), Adam(head.parameters(), lr=lr)
-    for _ in range(epochs):
-        tape = Tape()
-        tape.watch(*head.parameters())
-        loss = cross_entropy(softmax_rows(head.extract(feats)), labels)
-        grads = backward(tape, loss)
-        opt.step(grads)
-    return head
+def train_probe(cache: FeatureCache) -> FeatureNet:
+    """The linear probe on the cached (frozen) features: ``logistic_head``
+    at the solver's default ridge, 0.02, fixed rather than tuned on a split."""
+    return logistic_head(cache.features, cache.labels, cache.n_classes, reg=0.02)
 
 
 def dump_neighbors(cache: FeatureCache, query_feats, top_k: int):

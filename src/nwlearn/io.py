@@ -165,6 +165,8 @@ def load_checkpoint(path) -> tuple[FeatureNet, FeatureNet | None, dict]:
     if n_dims < 2 or n_dims > 64:
         raise FormatError(f"implausible layer count {n_dims}")
     dims = [reader.u32() for _ in range(n_dims)]
+    if 0 in dims:
+        raise FormatError(f"layer dims must be positive, got {dims}")
     weights, biases = [], []
     for din, dout in zip(dims[:-1], dims[1:]):
         weights.append(reader.f64_array((din, dout)))

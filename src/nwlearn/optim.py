@@ -31,20 +31,19 @@ class _FlatOptimizer:
         self.weight_decay = weight_decay
         self.params = tuple(params)
         self.flat = np.concatenate([p.data.ravel() for p in self.params])
-        self._views, start = [], 0
-        for p in self.params:
-            stop = start + p.data.size
-            p.data = self.flat[start:stop].reshape(p.data.shape)
-            self._views.append(p.data)
-            start = stop
+        for p, part in zip(self.params, np.split(self.flat, np.cumsum([p.data.size for p in self.params])[:-1])):
+            p.data = part.reshape(p.data.shape)
+        self._views = [p.data for p in self.params]
 
     def _grad(self, grads: Gradients) -> np.ndarray:
         """``grads.flat``; ContractError unless it is the gradient of this
-        optimizer's parameters, watched in its order, and every parameter
-        is still its view of ``flat``."""
+        optimizer's parameters, watched in its order, no gradient value's
+        data was rebound, and every parameter is still its view of ``flat``."""
         if grads.params != self.params:
             what = "in another watch order" if set(grads.params) == set(self.params) else "over other parameters"
             raise ContractError(f"the gradients were taken {what} than the optimizer was made over")
+        if grads.rebound():
+            raise ContractError("a gradient value's data was rebound; edit it in place")
         if not all(p.data is view for p, view in zip(self.params, self._views)):
             raise ContractError("a parameter's data was rebound after the optimizer was made")
         return grads.flat

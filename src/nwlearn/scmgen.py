@@ -5,7 +5,8 @@ class drives an environment-independent content latent; class and
 environment jointly drive a style latent; the observation is an injective
 linear mix of (content, style). Held-out environments exercise
 out-of-distribution generalization, and the retained latents let tests
-score content-only and style-only oracle classifiers.
+score content-only and style-only oracle classifiers with the package's
+logistic solver, ``featnet._fit_logistic``.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ConfigError, ContractError
+from .featnet import _fit_logistic, logistic_head
 from .rng import Rng
 
 
@@ -230,48 +232,17 @@ def _latents(ds: Dataset, which: str) -> np.ndarray:
 
 def latent_oracle_accuracy(fit_ds: Dataset, eval_ds: Dataset, which: str) -> float:
     """Accuracy of a linear classifier on the true latents, fitted on
-    ``fit_ds``: one maximum-likelihood one-vs-rest logistic fit per class
-    (``_fit_logistic`` with a 1e-8 ridge that only keeps its Hessian
-    invertible), predicting the class of the largest score.
+    ``fit_ds``: the maximum-likelihood one-vs-rest logistic fit
+    (``featnet.logistic_head`` with a 1e-8 ridge that only keeps the
+    solver's Hessian invertible), predicting the class of the largest score.
 
     On pooled training environments the latent posterior is a prior-weighted
     mixture and not linear; the fit is the best linear classifier of it,
     which a nearest-class-mean rule is not once a class's latents spread
     over several environment signatures.
     """
-    z_fit = _latents(fit_ds, which)
-    z_eval = _latents(eval_ds, which)
-    scores = np.empty((len(z_eval), fit_ds.n_classes))
-    for c in range(fit_ds.n_classes):
-        w, b = _fit_logistic(z_fit, (fit_ds.y == c).astype(np.float64), reg=1e-8)
-        scores[:, c] = z_eval @ w + b
-    return float((scores.argmax(axis=1) == eval_ds.y).mean())
-
-
-def _fit_logistic(z: np.ndarray, y: np.ndarray, weights: np.ndarray | None = None,
-                  reg: float = 0.02):
-    """Binary logistic regression, optionally with per-row weights and an
-    L2 term on the slope, fitted by Newton's method (IRLS) until the
-    largest step is below 1e-10 (at most 50 steps): the converged optimum,
-    independent of any step size.
-
-    The small default L2 term trades a bias that is shared across
-    per-environment fits for a variance reduction, so the invariance gap
-    reflects genuine posterior differences rather than near-boundary
-    estimation noise.
-    """
-    weights = np.full(len(y), 1.0 / len(y)) if weights is None else weights / weights.sum()
-    x = np.hstack([z, np.ones((len(z), 1))])
-    ridge = np.diag(np.r_[np.full(z.shape[1], reg), 0.0])
-    beta = np.zeros(x.shape[1])
-    for _ in range(50):
-        p = 1.0 / (1.0 + np.exp(-(x @ beta)))
-        hess = x.T @ (x * (weights * p * (1.0 - p))[:, None]) + ridge
-        step = np.linalg.solve(hess, x.T @ (weights * (p - y)) + ridge @ beta)
-        beta -= step
-        if np.abs(step).max() < 1e-10:
-            break
-    return beta[:-1], beta[-1]
+    head = logistic_head(_latents(fit_ds, which), fit_ds.y, fit_ds.n_classes, reg=1e-8)
+    return float((head.extract(_latents(eval_ds, which)).data.argmax(axis=1) == eval_ds.y).mean())
 
 
 def sufficiency_invariance_gap(ds: Dataset, rng: Rng, n_grid: int = 200,
@@ -299,11 +270,8 @@ def sufficiency_invariance_gap(ds: Dataset, rng: Rng, n_grid: int = 200,
             continue
         w, b = _fit_logistic(z[members], y.astype(np.float64), weights=1.0 / counts[y])
         preds.append(1.0 / (1.0 + np.exp(-(grid @ w + b))))
-    gap = 0.0
-    for i in range(len(preds)):
-        for j in range(i + 1, len(preds)):
-            gap = max(gap, float(np.abs(preds[i] - preds[j]).max()))
-    return gap
+    # the largest pairwise |p_i - p_j| is max - min, as rounding a difference is monotone
+    return float(np.ptp(preds, axis=0).max()) if preds else 0.0
 
 
 def conditional_mi(ds: Dataset, which: str) -> float:

@@ -82,7 +82,7 @@ class Gradients(Mapping):
     ``flat`` holds every gradient in watch order (``params``); it is what
     an optimizer's ``step`` reads. Each value is a Tensor over its
     parameter's view of ``flat``, made on the first read: an edit in place
-    reaches ``flat``, a rebound ``data`` does not.
+    reaches ``flat``, a rebound ``data`` does not, and ``rebound`` says so.
     """
 
     __slots__ = ("flat", "params", "_shapes", "_views")
@@ -91,13 +91,15 @@ class Gradients(Mapping):
         self.flat, self.params, self._shapes, self._views = flat, params, shapes, None
 
     def __getitem__(self, p):
-        if self._views is None:
-            self._views, start = {}, 0
-            for q, shape in zip(self.params, self._shapes):
-                stop = start + math.prod(shape)
-                self._views[q] = _trusted(self.flat[start:stop].reshape(shape))  # flat is checked
-                start = stop
-        return self._views[p]
+        if self._views is None:  # parameter -> (its view of flat, the value over it); flat is checked
+            ends = np.cumsum([math.prod(s) for s in self._shapes], dtype=np.int64)[:-1]
+            views = [part.reshape(s) for part, s in zip(np.split(self.flat, ends), self._shapes)]
+            self._views = {q: (v, _trusted(v)) for q, v in zip(self.params, views)}
+        return self._views[p][1]
+
+    def rebound(self) -> bool:
+        """Whether a value read so far no longer holds its view of ``flat``."""
+        return self._views is not None and any(t.data is not view for view, t in self._views.values())
 
     def __iter__(self):
         return iter(self.params)

@@ -6,7 +6,7 @@ import pytest
 from nwlearn import Rng
 from nwlearn.data import Dataset, LabeledExample
 from nwlearn.errors import ConfigError, ContractError, CoverageError, DomainError
-from nwlearn.featnet import FeatureNet
+from nwlearn.featnet import FeatureNet, _fit_logistic, logistic_head
 from nwlearn.infer import (
     FeatureCache,
     InferenceMode,
@@ -433,24 +433,47 @@ def test_probe_trains_to_separate_linear_features():
     feats = np.vstack([gen.normal(size=(30, 4)) + 3.0, gen.normal(size=(30, 4)) - 3.0])
     labels = np.array([0] * 30 + [1] * 30)
     cache = FeatureCache(feats, labels, np.zeros(60, dtype=int), 2)
-    probe = train_probe(cache, lr=0.1, epochs=100)
+    probe = train_probe(cache)
     pred = predict(InferenceMode("probe"), cache, feats, probe=probe).argmax(axis=1)
     assert (pred == labels).mean() == 1.0
-
-
-def test_zero_epoch_probe_is_uniform():
-    cache = make_cache(seed=23)
-    probe = train_probe(cache, epochs=0)
-    probs = predict(InferenceMode("probe"), cache, cache.features[:5], probe=probe)
-    assert np.abs(probs - 1.0 / cache.n_classes).max() < 1e-12
 
 
 def test_probe_single_class_always_predicts_it():
     gen = np.random.default_rng(24)
     feats = gen.normal(size=(20, 3))
     cache = FeatureCache(feats, np.zeros(20, dtype=int), np.zeros(20, dtype=int), 2)
-    probe = train_probe(cache, epochs=50)
+    probe = train_probe(cache)
     assert (predict(InferenceMode("probe"), cache, feats, probe=probe).argmax(axis=1) == 0).all()
+
+
+@pytest.mark.parametrize("reg", [0.02, 1e-3])
+def test_logistic_head_columns_are_the_solvers_one_vs_rest_fits(reg):
+    cache = make_cache(seed=23)
+    head = logistic_head(cache.features, cache.labels, cache.n_classes, reg)
+    for c in range(cache.n_classes):
+        w, b = _fit_logistic(cache.features, cache.labels == c, reg=reg)
+        assert head.weights[0].data[:, c].tobytes() == w.tobytes()
+        assert head.biases[0].data[c].tobytes() == b.tobytes()
+
+
+def test_train_probe_is_the_optimum_of_the_ridge_logistic_objective():
+    # per class: mean log-loss of sigmoid(x w + b) against labels == c, plus 0.02 / 2 |w|^2
+    cache = make_cache(seed=30)
+    probe = train_probe(cache)
+    x = cache.features
+    for c in range(cache.n_classes):
+        w, b = probe.weights[0].data[:, c], probe.biases[0].data[c]
+        p = 1.0 / (1.0 + np.exp(-(x @ w + b)))
+        residual = p - (cache.labels == c)
+        grad = np.r_[x.T @ residual / len(x) + 0.02 * w, residual.mean()]
+        assert np.abs(grad).max() <= 1e-10
+
+
+def test_probe_on_a_cache_of_class_1_alone_predicts_class_1():
+    feats = np.random.default_rng(31).normal(size=(20, 3))
+    cache = FeatureCache(feats, np.ones(20, dtype=int), np.zeros(20, dtype=int), 2)
+    probe = train_probe(cache)  # the solver alone would raise LinAlgError here
+    assert (predict(InferenceMode("probe"), cache, feats, probe=probe).argmax(axis=1) == 1).all()
 
 
 def test_probe_mode_requires_head():
@@ -471,7 +494,7 @@ def test_non_finite_query_features_raise_domain_error(call, bad):
             dump_neighbors(cache, q, top_k=5)
         else:
             mode = InferenceMode("knn", len(cache)) if call == "knn_all" else InferenceMode(call)
-            predict(mode, cache, q, rng=Rng(29), probe=train_probe(cache, epochs=0))
+            predict(mode, cache, q, rng=Rng(29), probe=train_probe(cache))
 
 
 def test_dump_neighbors_sorted_and_matches_bruteforce():

@@ -5,7 +5,7 @@ import pytest
 
 from nwlearn import Rng
 from nwlearn.data import Dataset, LabeledExample
-from nwlearn.errors import ConfigError, ContractError, FormatError, ParseError
+from nwlearn.errors import ContractError, FormatError, ParseError
 from nwlearn.featnet import FeatureNet, linear_head
 from nwlearn.io import CHECKPOINT_MAGIC, CHECKPOINT_VERSION, load_checkpoint, load_csv, save_checkpoint, save_csv
 from nwlearn.scmgen import spurious_benchmark
@@ -205,7 +205,7 @@ def test_checkpoint_with_a_zero_width_layer_rejected(tmp_path):
     path = tmp_path / "zero.nwck"
     path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<IIII", CHECKPOINT_VERSION, 2, 16, 0)
                      + struct.pack("<II", 0, 2) + b"{}")
-    with pytest.raises(ConfigError, match="layer_dims"):
+    with pytest.raises(FormatError, match="layer dims"):
         load_checkpoint(path)
 
 
@@ -254,6 +254,14 @@ def test_checkpoint_with_bytes_after_the_metadata_rejected(tmp_path, tail):
     path = tmp_path / "model.nwck"
     path.write_bytes(_checkpoint_blob((4, 3), probe_dims=(3, 2)) + tail)
     with pytest.raises(FormatError, match="after the metadata"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("dims", [(4, 0), (0, 3), (4, 0, 3)])
+def test_checkpoint_with_a_zero_layer_dim_is_a_format_error(tmp_path, dims):
+    path = tmp_path / "model.nwck"
+    path.write_bytes(_checkpoint_blob(dims))
+    with pytest.raises(FormatError, match="layer dims"):
         load_checkpoint(path)
 
 

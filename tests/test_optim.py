@@ -157,3 +157,18 @@ def test_optimizer_rejects_a_rebound_parameter():
         with pytest.raises(ContractError, match="rebound"):
             opt.step(_backward(params, net, head, x, upstream))
         assert opt.flat.tobytes() == before.tobytes()
+
+
+def test_optimizer_rejects_a_rebound_gradient_value():
+    # an assignment to grads[p].data would leave the flat gradient behind
+    x, upstream = _inputs(68)
+    for make in (Sgd, Adam):
+        net, head = _net_and_head()
+        params = net.parameters() + head.parameters()
+        opt = make(params, lr=1e-2)
+        grads = _backward(params, net, head, x, upstream)
+        grads[params[0]].data = np.zeros(params[0].shape)
+        before = opt.flat.copy()
+        with pytest.raises(ContractError, match="gradient value's data was rebound"):
+            opt.step(grads)
+        assert opt.flat.tobytes() == before.tobytes()

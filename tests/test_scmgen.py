@@ -4,9 +4,9 @@ import pytest
 from nwlearn import Rng, scmgen
 from nwlearn.data import Dataset
 from nwlearn.errors import ConfigError
+from nwlearn.featnet import _fit_logistic
 from nwlearn.scmgen import (
     ScmConfig,
-    _fit_logistic,
     conditional_mi,
     imbalanced_benchmark,
     latent_oracle_accuracy,
