@@ -3,12 +3,13 @@
 Relu on every layer but the last. The parametric ERM baselines and the
 frozen-feature probe score a ``linear_head``, a one-layer net whose features
 are the class logits: zero for ERM to train, ``_fit_logistic``'s optimum for
-the probe (``logistic_head``). The whole net is one taped node
-whenever the input or a parameter sits on a live tape; otherwise extraction
-is a pure numpy evaluation that keeps no intermediate. Untaped, the layers
-run over blocks of rows whose hidden temporaries stay under glibc's default
-128 KiB mmap threshold, so the heap reuses them where whole-input layers
-would be fresh pages, faulted in on every call.
+the probe (``logistic_head``, whose softmax is the fitted sigmoid for two
+classes). The whole net is one taped node whenever the input or a parameter
+sits on a live tape; otherwise extraction is a pure numpy evaluation that
+keeps no intermediate. Untaped, the layers run over blocks of rows whose
+hidden temporaries stay under glibc's default 128 KiB mmap threshold, so the
+heap reuses them where whole-input layers would be fresh pages, faulted in
+on every call.
 """
 
 from __future__ import annotations
@@ -155,16 +156,27 @@ def linear_head(feature_dim: int, n_classes: int) -> FeatureNet:
 
 
 def logistic_head(feats: np.ndarray, labels: np.ndarray, n_classes: int, reg: float) -> FeatureNet:
-    """One-vs-rest ``linear_head``: column c is ``_fit_logistic(feats, labels == c, reg)``.
-    A class of no row or of every row has no finite optimum; its column gets a zero
-    slope and the bias log((n_c + 1/2) / (n - n_c + 1/2)), so one class predicts itself."""
+    """``linear_head`` of ``_fit_logistic(feats, labels == c, reg)`` fits.
+
+    Two classes take one fit z of class 1 as the columns (-z/2, z/2), so the
+    softmax over them is the fitted sigmoid(z). Three or more are one-vs-rest:
+    column c is the fit of "class c or not", and the softmax over those
+    log-odds ranks the classes as the fits do but is not a fitted probability.
+    A class of no row or of every row has no finite optimum; its fit is a zero
+    slope and the bias log((n_c + 1/2) / (n - n_c + 1/2)), so one class
+    predicts itself."""
     head = linear_head(feats.shape[1], n_classes)
-    for c in range(n_classes):
+    w, b = head.weights[0].data, head.biases[0].data
+    for c in range(1 if n_classes == 2 else 0, n_classes):
         y = (labels == c).astype(np.float64)
         if 0 < y.sum() < len(y):
-            head.weights[0].data[:, c], head.biases[0].data[c] = _fit_logistic(feats, y, reg=reg)
+            w[:, c], b[c] = _fit_logistic(feats, y, reg=reg)
         else:
-            head.biases[0].data[c] = np.log((y.sum() + 0.5) / (len(y) - y.sum() + 0.5))
+            b[c] = np.log((y.sum() + 0.5) / (len(y) - y.sum() + 0.5))
+    if n_classes == 2:
+        w[:, 1] /= 2.0
+        b[1] /= 2.0
+        w[:, 0], b[0] = -w[:, 1], -b[1]
     return head
 
 

@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ContractError, DomainError, ShapeError
-from .tensor import Tensor, _all_finite, _result, _row_sum, _wrap, softmax, sqdist
+from .tensor import Tensor, _all_finite, _result, _wrap, softmax, sqdist
 
 # keeps the log in cross_entropy finite when a class weight underflows
 _CE_EPS = 1e-15
@@ -137,7 +137,7 @@ def cross_entropy(pred_probs, onehot_labels) -> Tensor:
     if probs.shape != (n, c):
         raise ContractError(f"predictions {probs.shape} do not match labels {labels.shape}")
     coef = -1.0 / n
-    true_probs = _row_sum(probs.data * labels) + _CE_EPS
+    true_probs = (probs.data * labels).sum(axis=1) + _CE_EPS
     if true_probs.min() <= 0.0:
         raise DomainError(f"log of non-positive value {true_probs.min()}")
     value = coef * np.log(true_probs).sum()

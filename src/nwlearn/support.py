@@ -6,7 +6,8 @@ and conditioning on a single environment precludes votes that lean on
 environment-specific features. Sampling happens once per query mini-batch,
 and the support labels must cover the query labels. Every sampler returns
 int64 row indices into the dataset it draws from; the caller gathers the
-rows' inputs or features and labels.
+rows' inputs or features and labels. The balanced query draw draws only
+the places it reads, one rank per visit of an (environment, class) cell.
 """
 
 from __future__ import annotations
@@ -127,9 +128,16 @@ def sample_balanced_query_batch(ds: Dataset, n_q: int, rng: Rng) -> np.ndarray:
     """Row indices (int64) of a class-and-environment balanced query draw
     (the balanced-ERM batch).
 
-    Cycles (env, class) cells with class varying fastest, drawing one
-    example per visit without replacement inside a cell, so per-batch class
-    counts are equal whenever n_classes divides n_q.
+    Cycles the n non-empty (env, class) cells, env-major with class varying
+    fastest (an empty cell is skipped with a warning): pick k is visit
+    k // n of cell k % n, so per-batch class counts are equal whenever
+    n_classes divides n_q. A cell's visits read a uniformly random order of
+    its rows without replacement and restart that order once every row is
+    read. Only the visited places are drawn (sequential sampling, as in a
+    partial Fisher-Yates shuffle): one ``rng.integers`` call gives every
+    fresh visit j of a cell of L rows, in pick order, a rank in [0, L - j),
+    and the visit takes the row of that rank among the cell's rows not yet
+    taken.
     """
     if n_q < 1:
         raise ConfigError(f"n_q must be >= 1, got {n_q}")
@@ -140,7 +148,14 @@ def sample_balanced_query_batch(ds: Dataset, n_q: int, rng: Rng) -> np.ndarray:
             if len(bucket) == 0:
                 log.warning("skipping empty (env=%s, class=%d) cell in balanced query draw", env, c)
                 continue
-            cells.append(rng.permutation(bucket))
-    # the k-th pick visits cell k % len(cells) for the (k // len(cells))-th time
+            cells.append(bucket)
     n = len(cells)
-    return np.array([cells[k % n][(k // n) % len(cells[k % n])] for k in range(n_q)], dtype=np.int64)
+    fresh = [k for k in range(n_q) if k // n < len(cells[k % n])]
+    ranks = rng.integers(0, [len(cells[k % n]) - k // n for k in fresh]).tolist()
+    taken = [[] for _ in cells]  # each cell's picked places, in visit order
+    for k, r in zip(fresh, ranks):
+        for t in sorted(taken[k % n]):
+            r += t <= r  # step past each taken place at or below the candidate
+        taken[k % n].append(r)
+    return np.array([cells[k % n][taken[k % n][(k // n) % len(taken[k % n])]] for k in range(n_q)],
+                    dtype=np.int64)

@@ -7,9 +7,8 @@ parameter's data in place. Gradients are recorded on an explicit
 tape, so the identical code path serves training and inference.
 :func:`sqdist` gives the squared distances of the taped NW vote, exact
 k-NN, k-means and the HNSW build; :func:`softmax` is the numpy row
-softmax, whose row max is a running maximum over the columns of a tall
-matrix (max is exact, so the bits match the plain reduction), and
-:func:`smallest_k` the one "k nearest by (distance, index)" selection.
+softmax, and :func:`smallest_k` the one "k nearest by (distance, index)"
+selection.
 
 Finiteness is checked once per value: ``Tensor(...)`` checks what it wraps,
 and an op's result is checked unless it is finite by construction (a slice
@@ -28,9 +27,6 @@ from collections.abc import Mapping
 import numpy as np
 
 from .errors import ContractError, DomainError, ShapeError
-
-# rows per column above which a running column maximum beats numpy's row max
-_TALL = 32
 
 
 def _all_finite(x: np.ndarray) -> bool:
@@ -166,36 +162,10 @@ def smallest_k(d: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def _row_max(x: np.ndarray) -> np.ndarray:
-    """``x.max(axis=1, keepdims=True)``, bit for bit. A matrix at least
-    ``_TALL`` times taller than it is wide takes a running maximum over its
-    columns: numpy reduces a short last axis one row at a time, about 70 ns
-    a row, while each column of the running maximum costs about 1.5 us."""
-    if not 0 < _TALL * x.shape[1] <= x.shape[0]:
-        return x.max(axis=1, keepdims=True)
-    out = x[:, :1].copy()
-    for j in range(1, x.shape[1]):
-        np.maximum(out, x[:, j:j + 1], out=out)
-    return out
-
-
-def _row_sum(x: np.ndarray) -> np.ndarray:
-    """``x.sum(axis=1)``, bit for bit. A matrix of two columns at least
-    ``_TALL`` times taller than wide adds its columns: numpy reduces a short
-    last axis one row at a time, 55 us over 3000 rows against 3.5 us per
-    column add. numpy's reduction computes x0 + (0.0 + x1), which turns a
-    row of two -0.0 into 0.0; so does the column add here."""
-    if x.shape[1] != 2 or x.shape[0] < 2 * _TALL:
-        return x.sum(axis=1)
-    out = x[:, 1] + 0.0
-    out += x[:, 0]
-    return out
-
-
 def softmax(x: np.ndarray) -> np.ndarray:
     """Row-wise softmax of a matrix with per-row max subtraction for stability."""
-    e = np.exp(x - _row_max(x))
-    return e / _row_sum(e)[:, None]
+    e = np.exp(x - x.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1)[:, None]
 
 
 def _wrap(x) -> Tensor:
@@ -278,7 +248,7 @@ def softmax_rows(x) -> Tensor:
     s = softmax(x.data)
 
     def vjp(g):
-        return (s * (g - _row_sum(g * s)[:, None]),)
+        return (s * (g - (g * s).sum(axis=1)[:, None]),)
 
     # exp(x - row max) lies in [0, 1] with a row sum >= 1
     return _result(s, (x,), vjp, finite=True)

@@ -469,11 +469,34 @@ def test_train_probe_is_the_optimum_of_the_ridge_logistic_objective():
         assert np.abs(grad).max() <= 1e-10
 
 
+def test_two_class_probe_softmax_is_the_fitted_sigmoid():
+    # one fit of class 1, halved into the columns (-z/2, z/2)
+    gen = np.random.default_rng(32)
+    feats = gen.normal(size=(80, 4))
+    labels = (feats[:, 0] + gen.normal(size=80) > 0).astype(int)
+    cache = FeatureCache(feats, labels, np.zeros(80, dtype=int), 2)
+    probe = train_probe(cache)
+    w, b = _fit_logistic(feats, labels == 1, reg=0.02)
+    assert (2.0 * probe.weights[0].data[:, 1]).tobytes() == w.tobytes() and 2.0 * probe.biases[0].data[1] == b
+    q = gen.normal(size=(50, 4))
+    probs = predict(InferenceMode("probe"), cache, q, probe=probe)
+    assert np.abs(probs[:, 1] - 1.0 / (1.0 + np.exp(-(q @ w + b)))).max() <= 1e-12
+
+
 def test_probe_on_a_cache_of_class_1_alone_predicts_class_1():
     feats = np.random.default_rng(31).normal(size=(20, 3))
     cache = FeatureCache(feats, np.ones(20, dtype=int), np.zeros(20, dtype=int), 2)
     probe = train_probe(cache)  # the solver alone would raise LinAlgError here
     assert (predict(InferenceMode("probe"), cache, feats, probe=probe).argmax(axis=1) == 1).all()
+
+
+@pytest.mark.parametrize("label, n_classes", [(0, 2), (2, 3)])
+def test_probe_on_a_cache_of_one_class_predicts_that_class(label, n_classes):
+    # two classes derive class 0's column from class 1's fit; three fit each column
+    feats = np.random.default_rng(33).normal(size=(20, 3))
+    cache = FeatureCache(feats, np.full(20, label), np.zeros(20, dtype=int), n_classes)
+    probe = train_probe(cache)
+    assert (predict(InferenceMode("probe"), cache, feats, probe=probe).argmax(axis=1) == label).all()
 
 
 def test_probe_mode_requires_head():

@@ -257,18 +257,56 @@ def test_query_batches_are_int64_row_indices():
         assert ((batch >= 0) & (batch < len(ds))).all()
 
 
+def _balanced_query_loop(ds, n_q, rng):
+    """The balanced query draw as a plain loop: one rank per fresh visit, in
+    pick order, from one ``integers`` call; visit j of a cell of L rows pops
+    the rank-th of the cell's rows not yet taken, and later visits repeat."""
+    cells = [list(ds.by_env_class[(env, c)]) for env in ds.env_ids for c in range(ds.n_classes)
+             if len(ds.by_env_class[(env, c)])]
+    n = len(cells)
+    fresh = [k for k in range(n_q) if k // n < len(cells[k % n])]
+    ranks = rng.integers(0, [len(cells[k % n]) - k // n for k in fresh])
+    untaken, picks = [list(cell) for cell in cells], [[] for _ in cells]
+    for k, r in zip(fresh, ranks):
+        picks[k % n].append(int(untaken[k % n].pop(r)))
+    return [picks[k % n][(k // n) % len(cells[k % n])] for k in range(n_q)]
+
+
 def test_balanced_query_batch_matches_the_cycling_loop():
     # small cells and an empty one, so draws wrap around inside a cell
     ds = make_dataset(np.random.default_rng(20), n=12, n_classes=3, n_envs=2, skip={(1, 2)})
     for n_q in (1, 5, 12, 40):
-        got = sample_balanced_query_batch(ds, n_q, Rng(21))
-        rng = Rng(21)
-        cells = [rng.permutation(ds.by_env_class[(env, c)]) for env in ds.env_ids
-                 for c in range(ds.n_classes) if len(ds.by_env_class[(env, c)])]
-        picked, offsets, cell_i = [], [0] * len(cells), 0
-        while len(picked) < n_q:
-            bucket = cells[cell_i]
-            picked.append(int(bucket[offsets[cell_i] % len(bucket)]))
-            offsets[cell_i] += 1
-            cell_i = (cell_i + 1) % len(cells)
-        assert got.tolist() == picked
+        for seed in range(21, 26):
+            got = sample_balanced_query_batch(ds, n_q, Rng(seed))
+            assert got.tolist() == _balanced_query_loop(ds, n_q, Rng(seed))
+
+
+def _one_env_cells(*sizes):
+    """A one-environment dataset whose class c holds ``sizes[c]`` consecutive rows."""
+    y = np.repeat(np.arange(len(sizes)), sizes)
+    return Dataset.from_arrays(np.zeros((len(y), 1)), y, np.zeros(len(y), dtype=np.int64))
+
+
+def test_balanced_query_batch_first_visits_are_uniform():
+    # cells {0, 1, 2} and {3, 4}; four picks take two visits of each cell,
+    # so each of the 3 * 2 * 2 * 1 = 12 ordered outcomes has probability 1/12
+    ds, draws, rng = _one_env_cells(3, 2), 6000, Rng(40)
+    counts = {}
+    for _ in range(draws):
+        outcome = tuple(sample_balanced_query_batch(ds, 4, rng).tolist())
+        counts[outcome] = counts.get(outcome, 0) + 1
+    expected = {(a, b, c, d) for a in range(3) for c in range(3) if c != a for b, d in ((3, 4), (4, 3))}
+    assert set(counts) == expected
+    # each count within 5 binomial standard deviations of draws / 12 (about 107 of 500)
+    sd = np.sqrt(draws * (1 / 12) * (11 / 12))
+    assert max(abs(v - draws / 12) for v in counts.values()) < 5 * sd
+
+
+def test_balanced_query_batch_cycles_through_its_picks():
+    # class 0 has 5 rows and class 1 has 3; 14 picks visit each cell 7 times
+    ds = _one_env_cells(5, 3)
+    for seed in range(10):
+        batch = sample_balanced_query_batch(ds, 14, Rng(seed)).tolist()
+        first, second = batch[0::2], batch[1::2]
+        assert sorted(first[:5]) == [0, 1, 2, 3, 4] and first[5:] == first[:2]
+        assert sorted(second[:3]) == [5, 6, 7] and second[3:] == second[:3] + second[:1]
