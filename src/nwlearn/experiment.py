@@ -41,7 +41,6 @@ class ExperimentConfig:
     n_train: int = 3000
     n_val: int = 600
     n_test: int = 1200
-    majority_share: float = 0.85  # imbalanced recipe only
     csv_train: str | None = None
     csv_val: str | None = None
     csv_test: str | None = None
@@ -87,8 +86,7 @@ def load_experiment_data(cfg: ExperimentConfig) -> tuple[Dataset, Dataset, Datas
     if cfg.data == "spurious":
         return spurious_benchmark(cfg.flip_ood, Rng(cfg.data_seed), cfg.n_train, cfg.n_val, cfg.n_test)
     if cfg.data == "imbalanced":
-        return imbalanced_benchmark(Rng(cfg.data_seed), cfg.majority_share,
-                                    cfg.n_train, cfg.n_val, cfg.n_test)
+        return imbalanced_benchmark(Rng(cfg.data_seed), cfg.n_train, cfg.n_val, cfg.n_test)
     return load_csv(cfg.csv_train), load_csv(cfg.csv_val), load_csv(cfg.csv_test)
 
 

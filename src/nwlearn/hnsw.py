@@ -47,7 +47,6 @@ class HnswIndex:
         features,
         m: int = DEFAULT_M,
         ef_construction: int = DEFAULT_EF_CONSTRUCTION,
-        ef_search: int = DEFAULT_EF_SEARCH,
         rng: Rng | None = None,
     ):
         feats = np.ascontiguousarray(features, dtype=np.float64)
@@ -55,13 +54,12 @@ class HnswIndex:
             raise ContractError("HnswIndex needs a non-empty feature matrix")
         if not np.isfinite(feats).all():
             raise DomainError("HnswIndex features must be finite")
-        if m < 2 or ef_construction < 1 or ef_search < 1:
-            raise ConfigError(f"bad HNSW params m={m}, ef_construction={ef_construction}, ef_search={ef_search}")
+        if m < 2 or ef_construction < 1:
+            raise ConfigError(f"bad HNSW params m={m}, ef_construction={ef_construction}")
         self.features = feats
         self.m = m
         self.m0 = 2 * m  # base layer keeps twice the edges
         self.ef_construction = ef_construction
-        self.ef_search = ef_search
         self._norms = (feats * feats).sum(axis=1)
         n = len(feats)
         rng = rng if rng is not None else Rng(0)
@@ -175,15 +173,16 @@ class HnswIndex:
 
     # -- queries -------------------------------------------------------------
 
-    def search(self, query, k: int, ef_search: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """k approximate nearest rows; returns (indices, euclidean distances)
-        ascending by (distance, index)."""
+    def search(self, query, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """k approximate nearest rows from a beam of max(DEFAULT_EF_SEARCH, k)
+        candidates; returns (indices, euclidean distances) ascending by
+        (distance, index)."""
         q = np.ascontiguousarray(query, dtype=np.float64).reshape(-1)
         if k < 1 or k > len(self.features):
             raise ContractError(f"k must be in [1, {len(self.features)}], got {k}")
         if not np.isfinite(q).all():  # NaN distances never end the descent
             raise DomainError("HNSW query must be finite")
-        ef = max(ef_search if ef_search is not None else self.ef_search, k)
+        ef = max(DEFAULT_EF_SEARCH, k)
         # squared distance to every node, via ||x||^2 - 2 x.q + ||q||^2, read
         # through a memoryview: a search reads a fraction of the row, and
         # each read makes one Python float

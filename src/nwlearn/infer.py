@@ -34,12 +34,13 @@ from .kmeans import kmeans
 from .nwhead import nw_vote, nw_vote_shared, onehot
 from .rng import Rng
 from .support import SupportSpec, _class_bucket, sample_support
-from .tensor import smallest_k, softmax_rows, sqdist
+from .tensor import _expand_sqdist, smallest_k, softmax_rows
 
 log = logging.getLogger(__name__)
 
 MODE_KINDS = ("random", "full", "ensemble", "cluster", "knn", "hnsw", "probe")
 _DEFAULT_K = {"random": 3, "cluster": 3, "knn": 20, "hnsw": 20}
+_QUERY_BLOCK = 64  # queries per distance block of the exact neighbour search
 
 
 @dataclass
@@ -107,7 +108,7 @@ def predict(mode: InferenceMode, cache: FeatureCache, query_feats, rng: Rng | No
     classes = range(cache.n_classes)
 
     if mode.kind == "random":
-        rows = sample_support(cache, SupportSpec(n_per_class=mode.k), (), rng)
+        rows = sample_support(cache, SupportSpec(n_per_class=mode.k), rng)
         return nw_vote_shared(q, cache.features[rows], onehot(cache.labels[rows], cache.n_classes))
 
     if mode.kind == "full":
@@ -152,10 +153,19 @@ def predict(mode: InferenceMode, cache: FeatureCache, query_feats, rng: Rng | No
 
 def _exact_neighbors(cache: FeatureCache, q: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """(indices, distances) of the k nearest cached rows per query; ties in
-    distance break toward the lower dataset index."""
-    d2 = sqdist(q, cache.features)
-    idx = smallest_k(d2, k)
-    return idx, np.sqrt(np.take_along_axis(d2, idx, axis=1))
+    distance break toward the lower dataset index. One product of every
+    query with the cache, then blocks of ``_QUERY_BLOCK`` queries expand it
+    to squared distances and select: the bits of ``sqdist`` over every
+    query, without a second (queries, cache) matrix. A product per block
+    would not do: BLAS may round a row of a short product differently."""
+    ab = q @ cache.features.T
+    idx, dist = np.empty((len(q), k), dtype=np.int64), np.empty((len(q), k))
+    for start in range(0, len(q), _QUERY_BLOCK):
+        rows = slice(start, start + _QUERY_BLOCK)
+        d2 = _expand_sqdist(q[rows], cache.features, ab[rows])
+        idx[rows] = smallest_k(d2, k)
+        dist[rows] = np.sqrt(np.take_along_axis(d2, idx[rows], axis=1))
+    return idx, dist
 
 
 def knn_predict(cache: FeatureCache, query_feats, k: int, exact: bool = True,

@@ -1,4 +1,4 @@
-"""SGD and Adam with decoupled weight decay.
+"""SGD and Adam over one flat parameter vector.
 
 An optimizer is made over its parameters and owns their values: it
 copies them, in order, into one flat vector ``flat`` and rebinds each
@@ -6,8 +6,7 @@ parameter's data to its view of it. ``step(grads)`` reads ``grads.flat``,
 the flat gradient that :func:`~nwlearn.tensor.backward` returns, already
 checked finite, when the parameters were watched in the optimizer's
 order; it updates ``flat`` in place and never writes into the gradient.
-Weight decay is applied as p <- p - lr * wd * p on top of the gradient
-update, for both optimizers.
+Training makes an ``Adam``; ``Sgd`` is the plain step p <- p - lr * g.
 """
 
 from __future__ import annotations
@@ -22,13 +21,10 @@ _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
 
 class _FlatOptimizer:
-    def __init__(self, params: list[Tensor], lr: float, weight_decay: float = 0.0):
+    def __init__(self, params: list[Tensor], lr: float):
         if lr <= 0:
             raise ConfigError(f"lr must be positive, got {lr}")
-        if weight_decay < 0:
-            raise ConfigError(f"weight_decay must be >= 0, got {weight_decay}")
         self.lr = lr
-        self.weight_decay = weight_decay
         self.params = tuple(params)
         self.flat = np.concatenate([p.data.ravel() for p in self.params])
         for p, part in zip(self.params, np.split(self.flat, np.cumsum([p.data.size for p in self.params])[:-1])):
@@ -52,15 +48,15 @@ class _FlatOptimizer:
 class Sgd(_FlatOptimizer):
     def step(self, grads: Gradients):
         g, flat = self._grad(grads), self.flat
-        flat[:] = flat - self.lr * g - self.lr * self.weight_decay * flat
+        flat -= self.lr * g
 
 
 class Adam(_FlatOptimizer):
     """Adam over the flat vector, its moments two more flat vectors
     updated in place."""
 
-    def __init__(self, params: list[Tensor], lr: float, weight_decay: float = 0.0):
-        super().__init__(params, lr, weight_decay)
+    def __init__(self, params: list[Tensor], lr: float):
+        super().__init__(params, lr)
         n = self.flat.size
         self._m, self._v, self._buf, self._buf2 = np.zeros(n), np.zeros(n), np.empty(n), np.empty(n)
         self._t = 0
@@ -85,13 +81,4 @@ class Adam(_FlatOptimizer):
         np.divide(m, 1.0 - b1 ** self._t, out=u)
         u *= self.lr
         np.divide(u, w, out=w)
-        # values - step - lr * wd * values, the decay taken on the values before the step
-        if self.weight_decay:
-            np.multiply(flat, self.lr * self.weight_decay, out=u)
-            flat -= w
-            flat -= u
-        else:
-            flat -= w
-
-
-OPTIMIZERS = {"sgd": Sgd, "adam": Adam}
+        flat -= w

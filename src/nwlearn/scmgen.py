@@ -121,6 +121,8 @@ _CONTENT_GAP = 0.95   # content class separation (per side, along a unit directi
 _STYLE_GAP = 0.75     # style class separation (per side) along style axis 0, unit strength
 _STYLE_STRENGTH = (2.0, 1.0, 0.0)  # per training environment, in units of _STYLE_GAP
 _OFFSET_SCALE = 2.0   # magnitude of the class-symmetric environment signatures
+_MAJORITY_SHARE = 0.85  # class 0's prior in every environment of imbalanced_benchmark
+_N_GRID = 200  # latent rows of sufficiency_invariance_gap's probe grid
 
 
 def _benchmark_splits(flip_ood: bool, rng: Rng, label_priors: np.ndarray, n_train: int, n_val: int,
@@ -178,16 +180,14 @@ def spurious_benchmark(flip_ood: bool, rng: Rng, n_train: int = 3000, n_val: int
     return _benchmark_splits(flip_ood, rng, label_priors, n_train, n_val, n_test)
 
 
-def imbalanced_benchmark(rng: Rng, majority_share: float = 0.85, n_train: int = 3000,
-                         n_val: int = 600, n_test: int = 1200) -> tuple[Dataset, Dataset, Dataset]:
+def imbalanced_benchmark(rng: Rng, n_train: int = 3000, n_val: int = 600,
+                         n_test: int = 1200) -> tuple[Dataset, Dataset, Dataset]:
     """Label-skew analogue: every environment shares the same strong class
-    imbalance, the training environments carry the same environment-
-    dependent style-label association as ``spurious_benchmark``, and the
-    held-out environments randomize that association so the sweep isolates
-    label shift."""
-    if not 0.0 < majority_share < 1.0:
-        raise ConfigError(f"majority_share must be in (0, 1), got {majority_share}")
-    prior = np.array([majority_share, 1.0 - majority_share])
+    imbalance (class 0 at ``_MAJORITY_SHARE``), the training environments
+    carry the same environment-dependent style-label association as
+    ``spurious_benchmark``, and the held-out environments randomize that
+    association so the sweep isolates label shift."""
+    prior = np.array([_MAJORITY_SHARE, 1.0 - _MAJORITY_SHARE])
     return _benchmark_splits(False, rng, np.tile(prior, (5, 1)), n_train, n_val, n_test)
 
 
@@ -245,8 +245,7 @@ def latent_oracle_accuracy(fit_ds: Dataset, eval_ds: Dataset, which: str) -> flo
     return float((head.extract(_latents(eval_ds, which)).data.argmax(axis=1) == eval_ds.y).mean())
 
 
-def sufficiency_invariance_gap(ds: Dataset, rng: Rng, n_grid: int = 200,
-                               which: str = "content") -> float:
+def sufficiency_invariance_gap(ds: Dataset, rng: Rng, which: str = "content") -> float:
     """Empirical check that the class posterior given a latent is shared
     across environments.
 
@@ -254,14 +253,14 @@ def sufficiency_invariance_gap(ds: Dataset, rng: Rng, n_grid: int = 200,
     every row of that environment with class-balancing weights (equalizing
     class priors is the intervention that removes the environment's
     influence on prevalence), then reports the max pairwise gap of
-    predicted probabilities over a shared probe grid drawn with ``rng``.
-    Small for the content latent; large for style, whose posterior
-    genuinely varies by environment.
+    predicted probabilities over a shared probe grid of ``_N_GRID`` rows
+    drawn with ``rng``. Small for the content latent; large for style,
+    whose posterior genuinely varies by environment.
     """
     if ds.n_classes != 2:
         raise ContractError("the invariance diagnostic is defined for 2 classes")
     z = _latents(ds, which)
-    grid = z[rng.choice(len(z), size=min(n_grid, len(z)), replace=False)]
+    grid = z[rng.choice(len(z), size=min(_N_GRID, len(z)), replace=False)]
     preds = []
     for members in ds.by_env.values():
         y = ds.y[members]

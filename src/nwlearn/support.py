@@ -3,11 +3,13 @@
 The causal assumptions live here: class balancing acts as an intervention
 on the label (removing the environment's influence on class prevalence),
 and conditioning on a single environment precludes votes that lean on
-environment-specific features. Sampling happens once per query mini-batch,
-and the support labels must cover the query labels. Every sampler returns
-int64 row indices into the dataset it draws from; the caller gathers the
-rows' inputs or features and labels. The balanced query draw draws only
-the places it reads, one rank per visit of an (environment, class) cell.
+environment-specific features. Sampling happens once per query mini-batch.
+Every support covers every class, so it covers the labels of any query
+batch; a class bucket that a support needs and finds empty raises
+CoverageError. Every sampler returns int64 row indices into the dataset
+it draws from; the caller gathers the rows' inputs or features and
+labels. The balanced query draw draws only the places it reads, one rank
+per visit of an (environment, class) cell.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ def _class_bucket(ds: Dataset, env: int | None, c: int) -> np.ndarray:
     return bucket
 
 
-def sample_support(ds: Dataset, spec: SupportSpec, query_labels, rng: Rng) -> np.ndarray:
+def sample_support(ds: Dataset, spec: SupportSpec, rng: Rng) -> np.ndarray:
     """Row indices (int64) of one support set drawn according to ``spec``.
 
     Balanced mode cycles through every class and draws exactly
@@ -57,16 +59,6 @@ def sample_support(ds: Dataset, spec: SupportSpec, query_labels, rng: Rng) -> np
     """
     if spec.env is not None and spec.env not in ds.by_env:
         raise ConfigError(f"environment {spec.env} not present in dataset")
-    labels = np.asarray(query_labels if isinstance(query_labels, np.ndarray) else list(query_labels),
-                        dtype=np.int64)
-    # a negative label wraps past every class id as uint64
-    if np.count_nonzero(labels.astype(np.uint64) >= ds.n_classes):
-        outside = sorted({int(c) for c in labels} - set(range(ds.n_classes)))
-        raise CoverageError(
-            f"query labels {outside} are not classes of the dataset",
-            class_id=outside[0],
-        )
-
     if spec.balanced:
         parts = []
         for c in range(ds.n_classes):
@@ -98,9 +90,7 @@ def sample_support(ds: Dataset, spec: SupportSpec, query_labels, rng: Rng) -> np
     return idx.astype(np.int64, copy=False)
 
 
-def sample_env_pair(
-    ds: Dataset, n_per_class: int, query_labels, rng: Rng
-) -> tuple[np.ndarray, np.ndarray]:
+def sample_env_pair(ds: Dataset, n_per_class: int, rng: Rng) -> tuple[np.ndarray, np.ndarray]:
     """Row indices of two balanced supports conditioned on two distinct
     environments.
 
@@ -110,8 +100,7 @@ def sample_env_pair(
     if ds.n_envs < 2:
         raise ConfigError(f"need >= 2 environments, dataset has {ds.n_envs}")
     envs = rng.choice(np.array(ds.env_ids), size=2, replace=False)
-    return tuple(sample_support(ds, SupportSpec(env=int(env), n_per_class=n_per_class), query_labels, rng)
-                 for env in envs)
+    return tuple(sample_support(ds, SupportSpec(env=int(env), n_per_class=n_per_class), rng) for env in envs)
 
 
 def sample_query_batch(ds: Dataset, n_q: int, rng: Rng) -> np.ndarray:

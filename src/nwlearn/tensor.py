@@ -138,7 +138,13 @@ def sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Computed via the inner-product expansion (aa + bb) - 2ab and clipped at
     0 to absorb negative round-off.
     """
-    ab = a @ b.T
+    return _expand_sqdist(a, b, a @ b.T)
+
+
+def _expand_sqdist(a: np.ndarray, b: np.ndarray, ab: np.ndarray) -> np.ndarray:
+    """``sqdist(a, b)`` from the product ``ab = a @ b.T``, which it
+    overwrites. Each entry is elementwise arithmetic on its own row of
+    ``ab``, so rows of one product give the same bits in any block."""
     ab *= 2.0
     out = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)
     out -= ab

@@ -12,7 +12,7 @@ support, the environments taken in a shuffled order per epoch.
 A training step draws its query batch and its row's supports (two for
 ``"pair"``, else one) as row indices of the dataset; ``nw_loss`` gathers
 those rows for one forward pass and votes, or ERM scores its linear head.
-The step ends with one optimizer update.
+The step ends with one Adam update.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .featnet import DEFAULT_FEATURE_DIM, DEFAULT_HIDDEN_DIMS, FeatureNet, linea
 from .infer import FeatureCache, InferenceMode, build_cache, predict
 from .metrics import compute_metric
 from .nwhead import cross_entropy, nw_predict, onehot
-from .optim import OPTIMIZERS
+from .optim import Adam
 from .rng import Rng
 from .support import (
     SupportSpec,
@@ -67,15 +67,14 @@ class Variant:
         """(loss, penalty or None) of one step on the query rows
         ``query_batch`` (indices into ``ds``); ``env`` is the environment of
         an ``"env"`` support."""
-        labels = ds.y[query_batch]
         if self.support is None:
             probs = softmax_rows(head.extract(net.extract(ds.X[query_batch])))
-            return cross_entropy(probs, onehot(labels, ds.n_classes)), None
+            return cross_entropy(probs, onehot(ds.y[query_batch], ds.n_classes)), None
         if self.support == "pair":
-            supports = sample_env_pair(ds, n_c, labels, rng)
+            supports = sample_env_pair(ds, n_c, rng)
         else:
             spec = SupportSpec(balanced=self.balanced, env=env if self.support == "env" else None, n_per_class=n_c)
-            supports = (sample_support(ds, spec, labels, rng),)
+            supports = (sample_support(ds, spec, rng),)
         return nw_loss(net, ds, query_batch, supports, lambda_)
 
 
@@ -95,9 +94,7 @@ class TrainConfig:
     lambda_: float = 0.01  # penalty weight, explicit variant only
     n_q: int = 8
     n_c: int = 8
-    lr: float = 1e-3
-    weight_decay: float = 0.0
-    optimizer: str = "adam"
+    lr: float = 1e-3  # Adam's step size
     max_epochs: int = 10
     seed: int = 0
     eval_every: int = 100  # steps; an evaluation also runs at each epoch end
@@ -115,12 +112,8 @@ class TrainConfig:
             raise ConfigError(f"n_q and n_c must be >= 1, got {self.n_q}, {self.n_c}")
         if self.max_epochs < 0 or self.eval_every < 0:
             raise ConfigError(f"max_epochs and eval_every must be >= 0, got {self.max_epochs}, {self.eval_every}")
-        if self.optimizer not in OPTIMIZERS:
-            raise ConfigError(f"unknown optimizer {self.optimizer!r}; choose from {tuple(OPTIMIZERS)}")
         if self.lr <= 0:
             raise ConfigError(f"lr must be positive, got {self.lr}")
-        if self.weight_decay < 0:
-            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if min(self.hidden_dims, default=1) < 1 or self.feature_dim < 1:
             raise ConfigError(f"hidden_dims and feature_dim must be >= 1, got {self.hidden_dims}, {self.feature_dim}")
 
@@ -204,7 +197,7 @@ def train(ds_train: Dataset, ds_val_ood: Dataset, cfg: TrainConfig, metric: str 
     head = linear_head(cfg.feature_dim, ds_train.n_classes) if row.support is None else None
     model = net if head is None else ErmModel(net, head)
     params = model.parameters()
-    opt = OPTIMIZERS[cfg.optimizer](params, cfg.lr, cfg.weight_decay)
+    opt = Adam(params, cfg.lr)
 
     draw = sample_balanced_query_batch if head is not None and row.balanced else sample_query_batch
     steps_per_epoch = max(1, len(ds_train) // cfg.n_q)

@@ -63,8 +63,7 @@ def test_criterion_1_gradient_fidelity():
             net,
             ds,
             batch,
-            (sample_support(ds, SupportSpec(balanced=True, env=0, n_per_class=2),
-                            set(ds.y[batch]), Rng(4)),),
+            (sample_support(ds, SupportSpec(balanced=True, env=0, n_per_class=2), Rng(4)),),
             lambda_=0.0,
         )[0],
         net.parameters(), eps=1e-5)
@@ -113,7 +112,7 @@ def test_criterion_3_constraint_semantics():
     ds = _toy_dataset(n=40, seed=7)
     net = FeatureNet((3, 5, 2), Rng(8))
     batch = sample_query_batch(ds, 4, Rng(9))
-    s1, s2 = sample_env_pair(ds, 2, set(ds.y[batch]), Rng(10))
+    s1, s2 = sample_env_pair(ds, 2, Rng(10))
 
     zero_pen = nw_loss(net, ds, batch, (s1, s1), lambda_=1.0)[1].item()
     diff_pen = nw_loss(net, ds, batch, (s1, s2), lambda_=1.0)[1].item()
@@ -124,7 +123,7 @@ def test_criterion_3_constraint_semantics():
 
     total, _ = VARIANTS["nw_explicit"].loss(net, None, ds, batch, n_c=2, lambda_=0.0, rng=Rng(11), env=None)
     rng = Rng(11)
-    shared_s1, _ = sample_env_pair(ds, 2, set(ds.y[batch]), rng)
+    shared_s1, _ = sample_env_pair(ds, 2, rng)
     manual, _ = nw_loss(net, ds, batch, (shared_s1,), lambda_=0.0)
 
     ok = (zero_pen == 0.0 and (diff_pen > 0.0) == preds_differ and preds_differ
@@ -134,8 +133,9 @@ def test_criterion_3_constraint_semantics():
 
 
 def test_criterion_4_sampler_contracts():
-    """1000 random dataset/spec pairs: exact balanced counts, env purity,
-    CoverageError exactly when a required bucket is empty."""
+    """1000 random dataset/spec pairs: exact balanced counts, so every class
+    is covered, env purity, CoverageError exactly when a required bucket is
+    empty."""
     gen = np.random.default_rng(12)
     rng = Rng(13)
     checked = 0
@@ -159,7 +159,6 @@ def test_criterion_4_sampler_contracts():
         ds = Dataset(examples, n_classes=n_classes)
         env = int(gen.integers(0, n_envs)) if gen.random() < 0.6 else None
         n_per_class = int(gen.integers(1, 4))
-        query_labels = {int(c) for c in gen.choice(n_classes, size=int(gen.integers(1, n_classes + 1)), replace=False)}
         spec = SupportSpec(balanced=True, env=env, n_per_class=n_per_class)
         if env is not None:
             empty = [c for c in range(n_classes) if len(ds.by_env_class[(env, c)]) == 0]
@@ -167,12 +166,12 @@ def test_criterion_4_sampler_contracts():
             empty = [c for c in range(n_classes) if len(ds.by_class[c]) == 0]
         if empty:
             with pytest.raises(CoverageError):
-                sample_support(ds, spec, query_labels, rng)
+                sample_support(ds, spec, rng)
         else:
-            rows = sample_support(ds, spec, query_labels, rng)
+            rows = sample_support(ds, spec, rng)
             counts = np.bincount(ds.y[rows], minlength=n_classes)
             assert (counts == n_per_class).all()
-            assert query_labels <= set(ds.y[rows].tolist())
+            assert set(ds.y[rows].tolist()) == set(range(n_classes))
             if env is not None:
                 assert (ds.e[rows] == env).all()
         checked += 1

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,13 +60,9 @@ def test_config_validation(tmp_path):
     with pytest.raises(ConfigError):
         tiny_experiment(tmp_path, modes=("random", "random"))
     # bad training values fail at configuration, not once per seed
-    for bad in (dict(optimizer="rmsprop"), dict(lr=-1.0), dict(eval_every=-3),
-                dict(feature_dim=0), dict(hidden_dims=(0,)), dict(seed=-1), dict(weight_decay=-1.0)):
+    for bad in (dict(lr=-1.0), dict(eval_every=-3), dict(feature_dim=0), dict(hidden_dims=(0,)), dict(seed=-1)):
         with pytest.raises(ConfigError):
             TrainConfig(**bad)
-    # a negative decay would grow every parameter each step
-    with pytest.raises(ConfigError, match="weight_decay"):
-        config_from_flat_dict({"weight_decay": "-0.5"})
     # seeds and split sizes that numpy would reject fail at configuration
     for bad in (dict(data_seed=-1), dict(n_train=-5), dict(n_val=0), dict(n_test=0)):
         with pytest.raises(ConfigError):
@@ -193,8 +190,21 @@ def test_config_file_round_trip(tmp_path):
 
 
 def test_unknown_config_key_rejected():
-    with pytest.raises(ConfigError):
-        config_from_flat_dict({"warp_speed": "9"})
+    # optimizer, weight_decay and majority_share are constants, not keys
+    for key, value in (("warp_speed", "9"), ("optimizer", "adam"), ("weight_decay", "0"),
+                       ("majority_share", "0.85")):
+        with pytest.raises(ConfigError, match="unknown config key"):
+            config_from_flat_dict({key: value})
+
+
+def test_every_ini_block_of_the_readme_is_a_valid_config(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = [block.split("```", 1)[0] for block in readme.split("```ini\n")[1:]]
+    assert len(blocks) >= 2
+    for i, block in enumerate(blocks):
+        path = tmp_path / f"block_{i}.cfg"
+        path.write_text(block, encoding="utf-8")
+        config_from_flat_dict(parse_config_file(path))
 
 
 def test_flat_config_keys_cover_every_config_field():
@@ -206,7 +216,7 @@ def test_flat_config_keys_cover_every_config_field():
 def test_cli_train_rejects_bad_training_values_before_any_seed(tmp_path):
     cfg_file = tmp_path / "exp.cfg"
     out = tmp_path / "run"
-    cfg_file.write_text("data = spurious\noptimizer = rmsprop\nn_seeds = 2\nmax_epochs = 1\n")
+    cfg_file.write_text("data = spurious\nlr = -0.1\nn_seeds = 2\nmax_epochs = 1\n")
     code = cli_main(["train", "--config", str(cfg_file), "--out", str(out)])
     assert code == 1
     assert not list(out.glob("seed_*"))
@@ -221,7 +231,7 @@ def test_cli_train_rejects_bad_training_values_before_any_seed(tmp_path):
     ["gen-data", "--seed", "-1"],
     ["train", "--config", "{cfg}", "data_seed = -1"],
     ["train", "--config", "{cfg}", "n_train = -5"],
-    ["train", "--config", "{cfg}", "weight_decay = -1"],
+    ["train", "--config", "{cfg}", "lr = 0"],
 ])
 def test_cli_bad_outside_input_is_one_error_line(tmp_path, capsys, argv):
     missing, cfg = str(tmp_path / "missing"), tmp_path / "bad.cfg"

@@ -6,7 +6,7 @@ import pytest
 
 from nwlearn import Rng
 from nwlearn.errors import ContractError, DomainError
-from nwlearn.hnsw import _BLOCK_ELEMS, HnswIndex
+from nwlearn.hnsw import _BLOCK_ELEMS, DEFAULT_EF_SEARCH, HnswIndex
 from nwlearn.tensor import smallest_k, sqdist
 
 
@@ -248,13 +248,13 @@ def test_search_matches_the_reference_beam_search(data):
         row = gen.normal(size=6)
         pts, queries = np.tile(row, (300, 1)), np.vstack([row, row + 1e-9, gen.normal(size=(3, 6))])
     index = HnswIndex(pts, rng=Rng(48))
-    for k in (1, 20, 100):
-        for ef in (k, 100, 200):
-            for row in queries:
-                ids, dist = index.search(row, k, ef_search=ef)
-                ref_ids, ref_dist = reference_search(index, row, k, max(ef, k))
-                assert np.array_equal(ids, ref_ids)
-                assert np.array_equal(dist, ref_dist)
+    # the beam is DEFAULT_EF_SEARCH = 100 candidates, or k when k is larger
+    for k in (1, 20, 100, 200):
+        for row in queries:
+            ids, dist = index.search(row, k)
+            ref_ids, ref_dist = reference_search(index, row, k, max(DEFAULT_EF_SEARCH, k))
+            assert np.array_equal(ids, ref_ids)
+            assert np.array_equal(dist, ref_dist)
 
 
 def test_non_finite_features_and_queries_raise_domain_error():
@@ -269,15 +269,15 @@ def test_non_finite_features_and_queries_raise_domain_error():
 
 
 def test_k_bounds_and_ef_search_below_k():
-    pts = np.random.default_rng(50).normal(size=(60, 4))
+    pts = np.random.default_rng(50).normal(size=(160, 4))
     index = HnswIndex(pts, rng=Rng(51))
     for k in (0, len(pts) + 1):
         with pytest.raises(ContractError):
             index.search(pts[0], k)
-    ids, dist = index.search(pts[0], 50, ef_search=10)
-    assert len(set(ids.tolist())) == 50
-    lifted = index.search(pts[0], 50, ef_search=50)
-    assert np.array_equal(ids, lifted[0]) and np.array_equal(dist, lifted[1])
+    # k above DEFAULT_EF_SEARCH, the beam width, widens the beam to k: k distinct ids come back
+    ids, dist = index.search(pts[0], 150)
+    assert len(set(ids.tolist())) == 150
+    assert np.array_equal(dist, np.sort(dist))
 
 
 def test_recall_on_far_apart_clusters():

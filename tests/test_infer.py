@@ -10,6 +10,7 @@ from nwlearn.featnet import FeatureNet, _fit_logistic, logistic_head
 from nwlearn.infer import (
     FeatureCache,
     InferenceMode,
+    _exact_neighbors,
     build_cache,
     dump_neighbors,
     knn_predict,
@@ -20,7 +21,7 @@ from nwlearn.kmeans import kmeans
 from nwlearn.nwhead import _VOTE_BLOCK, nw_predict, nw_vote, nw_vote_shared, onehot
 from nwlearn.scmgen import spurious_benchmark
 from nwlearn.support import SupportSpec, sample_support
-from nwlearn.tensor import Tensor, softmax, sqdist
+from nwlearn.tensor import Tensor, smallest_k, softmax, sqdist
 
 
 def nw_head(q, feats, labels, n_classes):
@@ -132,7 +133,7 @@ def test_random_mode_draws_a_short_class_with_replacement_through_the_sampler(ca
     warnings = [rec for rec in caplog.records if rec.levelname == "WARNING"]
     assert [rec.name for rec in warnings] == ["nwlearn.support"]
     assert "with replacement" in warnings[0].getMessage()
-    rows = sample_support(cache, SupportSpec(n_per_class=3), (), Rng(46))
+    rows = sample_support(cache, SupportSpec(n_per_class=3), Rng(46))
     assert list(rows[6:]) == [12, 12, 12]
     assert np.array_equal(got, nw_vote_shared(q, cache.features[rows], onehot(cache.labels[rows], 3)))
 
@@ -421,7 +422,7 @@ def test_hnsw_matches_exact_on_most_queries():
     index = HnswIndex(cache.features, rng=Rng(21))
     same = 0
     for row in queries:
-        approx, _ = index.search(row, 20, ef_search=200)
+        approx, _ = index.search(row, 20)
         d = ((cache.features - row) ** 2).sum(axis=1)
         exact = np.argsort(d, kind="stable")[:20]
         same += set(approx.tolist()) == set(exact.tolist())
@@ -551,6 +552,25 @@ def test_exact_neighbors_break_boundary_ties_toward_lower_index():
         expected = np.stack([nw_head(q[i:i + 1], feats[order[i]], labels[order[i]], 3)[0]
                              for i in range(len(q))])
         assert np.abs(knn_predict(cache, q, k) - expected).max() < 1e-12
+
+
+def test_exact_neighbors_in_query_blocks_match_one_distance_matrix():
+    # 1, 64, 65 and 129 queries: a short block, one whole block, and whole
+    # blocks with a 1-row tail; every cached row appears twice, so distances
+    # tie. At this cache size a product per block of 64 queries rounds some
+    # rows differently from the product over every query.
+    gen = np.random.default_rng(30)
+    base = gen.normal(size=(150, 16))
+    feats = np.concatenate([base, base])
+    cache = FeatureCache(feats, np.arange(300) % 2, np.zeros(300, dtype=int), 2)
+    queries = gen.normal(size=(129, 16))
+    for n in (1, 64, 65, 129):
+        q = queries[:n]
+        d2 = sqdist(q, feats)
+        want = smallest_k(d2, 20)
+        idx, dist = _exact_neighbors(cache, q, 20)
+        assert np.array_equal(idx, want)
+        assert dist.tobytes() == np.sqrt(np.take_along_axis(d2, want, axis=1)).tobytes()
 
 
 def test_dump_neighbors_single_env_histogram_is_one_hot():

@@ -147,8 +147,7 @@ def test_conditional_mi_directions():
 
 
 def test_imbalanced_benchmark_prior():
-    train, _, test = imbalanced_benchmark(Rng(15), majority_share=0.85,
-                                          n_train=4000, n_val=200, n_test=1000)
+    train, _, test = imbalanced_benchmark(Rng(15), n_train=4000, n_val=200, n_test=1000)
     share = train.class_counts()[0] / len(train)
     assert abs(share - 0.85) < 0.03
     assert abs(test.class_counts()[0] / len(test) - 0.85) < 0.04

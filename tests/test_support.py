@@ -35,35 +35,29 @@ def make_dataset(rng, n=60, n_classes=3, n_envs=2, dim=4, skip=()):
 
 def test_balanced_counts():
     ds = make_dataset(np.random.default_rng(0))
-    rows = sample_support(ds, SupportSpec(balanced=True, n_per_class=2), {0, 1, 2}, Rng(1))
+    rows = sample_support(ds, SupportSpec(balanced=True, n_per_class=2), Rng(1))
     assert rows.dtype == np.int64 and len(rows) == 6
     assert np.bincount(ds.y[rows], minlength=3).tolist() == [2, 2, 2]
 
 
 def test_env_conditioning_filters_rows():
     ds = make_dataset(np.random.default_rng(1))
-    rows = sample_support(ds, SupportSpec(balanced=True, env=1, n_per_class=3), {0}, Rng(2))
+    rows = sample_support(ds, SupportSpec(balanced=True, env=1, n_per_class=3), Rng(2))
     assert (ds.e[rows] == 1).all()
 
 
 def test_empty_bucket_raises_coverage_error_with_pair():
     ds = make_dataset(np.random.default_rng(2), skip={(0, 2)})
     with pytest.raises(CoverageError) as exc:
-        sample_support(ds, SupportSpec(balanced=True, env=0, n_per_class=2), {2}, Rng(3))
+        sample_support(ds, SupportSpec(balanced=True, env=0, n_per_class=2), Rng(3))
     assert exc.value.env == 0
     assert exc.value.class_id == 2
-
-
-def test_query_label_outside_classes_raises_coverage_error():
-    ds = make_dataset(np.random.default_rng(3))
-    with pytest.raises(CoverageError):
-        sample_support(ds, SupportSpec(balanced=True, n_per_class=2), {7}, Rng(4))
 
 
 def test_missing_env_rejected():
     ds = make_dataset(np.random.default_rng(4))
     with pytest.raises(ConfigError):
-        sample_support(ds, SupportSpec(balanced=True, env=9, n_per_class=2), {0}, Rng(5))
+        sample_support(ds, SupportSpec(balanced=True, env=9, n_per_class=2), Rng(5))
 
 
 @pytest.mark.parametrize("balanced", [True, False])
@@ -79,13 +73,13 @@ def test_small_bucket_samples_with_replacement():
     for _ in range(10):
         examples.append(LabeledExample(x=np.ones(2), y=1, e=0))
     ds = Dataset(examples, n_classes=2)
-    rows = sample_support(ds, SupportSpec(balanced=True, n_per_class=4), {0, 1}, Rng(6))
+    rows = sample_support(ds, SupportSpec(balanced=True, n_per_class=4), Rng(6))
     assert np.bincount(ds.y[rows], minlength=2).tolist() == [4, 4]
 
 
 def test_unbalanced_covers_every_class_then_fills():
     ds = make_dataset(np.random.default_rng(5), n=200)
-    rows = sample_support(ds, SupportSpec(balanced=False, n_per_class=8), {0, 1, 2}, Rng(7))
+    rows = sample_support(ds, SupportSpec(balanced=False, n_per_class=8), Rng(7))
     assert len(rows) == 24
     counts = np.bincount(ds.y[rows], minlength=3)
     assert (counts >= 1).all()
@@ -95,9 +89,51 @@ def test_unbalanced_covers_every_class_then_fills():
 
 def test_balanced_support_label_distribution_is_uniform():
     ds = make_dataset(np.random.default_rng(7), n=300)
-    rows = sample_support(ds, SupportSpec(balanced=True, n_per_class=50), {0}, Rng(9))
+    rows = sample_support(ds, SupportSpec(balanced=True, n_per_class=50), Rng(9))
     counts = np.bincount(ds.y[rows], minlength=3)
     assert counts.tolist() == [50, 50, 50]
+
+
+def _pinned_data():
+    ds = make_dataset(np.random.default_rng(40), n=60, n_classes=3, n_envs=2)
+    # class 0 has one row
+    short = Dataset([LabeledExample(x=np.zeros(2), y=0, e=0)]
+                    + [LabeledExample(x=np.ones(2), y=1, e=0) for _ in range(10)], n_classes=2)
+    return ds, short
+
+
+# Rows recorded for fixed seeds, two draws per stream: a change to what the
+# samplers draw from the rng, or in what order, moves them.
+@pytest.mark.parametrize("short, spec, seed, expected", [
+    pytest.param(False, SupportSpec(n_per_class=3), 1,
+                 [[7, 14, 27, 58, 0, 54, 11, 53, 13], [35, 57, 28, 50, 55, 10, 9, 47, 22]], id="balanced"),
+    pytest.param(False, SupportSpec(env=1, n_per_class=3), 2,
+                 [[36, 56, 49, 59, 55, 0, 43, 16, 32], [27, 30, 12, 64, 55, 54, 38, 8, 43]], id="env"),
+    pytest.param(False, SupportSpec(balanced=False, n_per_class=4), 3,
+                 [[39, 0, 13, 8, 61, 59, 27, 48, 12, 34, 22, 57], [35, 29, 38, 28, 51, 19, 25, 20, 47, 41, 26, 54]],
+                 id="unbalanced"),
+    pytest.param(True, SupportSpec(n_per_class=4), 4,
+                 [[0, 0, 0, 0, 7, 4, 8, 10], [0, 0, 0, 0, 6, 4, 8, 10]], id="short_bucket_with_replacement"),
+])
+def test_support_rows_are_pinned(short, spec, seed, expected):
+    data, rng = _pinned_data()[short], Rng(seed)
+    assert [sample_support(data, spec, rng).tolist() for _ in expected] == expected
+
+
+def test_env_pair_rows_are_pinned():
+    ds, _ = _pinned_data()
+    rng = Rng(5)
+    assert [[rows.tolist() for rows in sample_env_pair(ds, 2, rng)] for _ in range(2)] == [
+        [[14, 60, 48, 42, 18, 2], [12, 31, 54, 59, 47, 34]],
+        [[12, 56, 0, 58, 65, 16], [7, 60, 46, 48, 3, 2]],
+    ]
+
+
+def test_query_batch_rows_are_pinned():
+    ds, _ = _pinned_data()
+    rng = Rng(6)
+    assert [sample_query_batch(ds, 7, rng).tolist() for _ in range(2)] == [
+        [3, 44, 22, 10, 40, 33, 38], [33, 15, 11, 49, 16, 26, 44]]
 
 
 def test_supports_built_from_outside_are_validated():
@@ -109,7 +145,7 @@ def test_supports_built_from_outside_are_validated():
 
 def test_env_pair_distinct_envs():
     ds = make_dataset(np.random.default_rng(8), n_envs=2)
-    a, b = sample_env_pair(ds, 2, {0, 1, 2}, Rng(10))
+    a, b = sample_env_pair(ds, 2, Rng(10))
     ea, eb = set(ds.e[a].tolist()), set(ds.e[b].tolist())
     assert len(ea) == 1 and len(eb) == 1
     assert ea != eb
@@ -118,7 +154,7 @@ def test_env_pair_distinct_envs():
 def test_env_pair_needs_two_envs():
     ds = make_dataset(np.random.default_rng(9), n_envs=1)
     with pytest.raises(ConfigError):
-        sample_env_pair(ds, 2, {0}, Rng(11))
+        sample_env_pair(ds, 2, Rng(11))
 
 
 def test_env_pair_frequencies_uniform_chi_square():
@@ -127,7 +163,7 @@ def test_env_pair_frequencies_uniform_chi_square():
     rng = Rng(12)
     counts = {}
     for _ in range(3000):
-        a, b = sample_env_pair(ds, 1, {0, 1, 2}, rng)
+        a, b = sample_env_pair(ds, 1, rng)
         pair = frozenset((int(ds.e[a[0]]), int(ds.e[b[0]])))
         counts[pair] = counts.get(pair, 0) + 1
     assert len(counts) == 3
@@ -196,9 +232,6 @@ def test_sampler_contracts_property_sweep():
                           n_envs=n_envs, skip=skip)
         env = int(gen.integers(0, n_envs)) if gen.random() < 0.6 else None
         n_per_class = int(gen.integers(1, 5))
-        query_labels = set(
-            int(c) for c in gen.choice(n_classes, size=int(gen.integers(1, n_classes + 1)), replace=False)
-        )
         spec = SupportSpec(balanced=True, env=env, n_per_class=n_per_class)
 
         required_empty = [
@@ -211,12 +244,12 @@ def test_sampler_contracts_property_sweep():
 
         if required_empty:
             with pytest.raises(CoverageError):
-                sample_support(ds, spec, query_labels, rng)
+                sample_support(ds, spec, rng)
             continue
-        rows = sample_support(ds, spec, query_labels, rng)
+        rows = sample_support(ds, spec, rng)
         counts = np.bincount(ds.y[rows], minlength=n_classes)
         assert (counts == n_per_class).all()
-        assert query_labels <= set(ds.y[rows].tolist())
+        assert set(ds.y[rows].tolist()) == set(range(n_classes))
         if env is not None:
             assert (ds.e[rows] == env).all()
 
@@ -245,7 +278,7 @@ def test_unbalanced_draw_matches_setdiff_form(env, n, n_per_class):
     if env is not None:
         assert (len(ds.by_env[env]) < n_per_class * ds.n_classes) == (n < 100)
     for seed in range(20):
-        rows = sample_support(ds, spec, {0, 1, 2}, Rng(seed))
+        rows = sample_support(ds, spec, Rng(seed))
         assert np.array_equal(rows, _setdiff_unbalanced_draw(ds, spec, Rng(seed)))
 
 

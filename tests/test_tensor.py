@@ -269,26 +269,11 @@ def test_zero_gradient_leaves_params_unchanged():
         assert p.data.tolist() == pytest.approx([2.5])
 
 
-def test_sgd_decoupled_weight_decay():
-    # p - lr*wd*p = 2 - 0.1*0.5*2
-    p = Tensor([2.0])
-    opt = Sgd([p], lr=0.1, weight_decay=0.5)
-    opt.step(_grads(p, [0.0]))
-    assert p.data.tolist() == pytest.approx([1.9])
-
-
 def test_optimizer_rejects_nonpositive_lr():
     with pytest.raises(ConfigError):
         Sgd([Tensor([1.0])], lr=0.0)
     with pytest.raises(ConfigError):
         Adam([Tensor([1.0])], lr=-1.0)
-
-
-def test_optimizer_rejects_negative_weight_decay():
-    for make in (Sgd, Adam):
-        p = Tensor([1.0])
-        with pytest.raises(ConfigError, match="weight_decay"):
-            make([p], lr=0.1, weight_decay=-0.5)
 
 
 def test_adam_trajectory_is_deterministic():

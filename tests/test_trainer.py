@@ -79,8 +79,7 @@ def test_loss_implicit_matches_straight_line_reevaluation():
     env = 1
     loss, _ = VARIANTS["nw_implicit"].loss(net, None, ds, batch, n_c=4, lambda_=0.0, rng=Rng(6), env=env)
 
-    support = sample_support(ds, SupportSpec(balanced=True, env=env, n_per_class=4),
-                             set(ds.y[batch]), Rng(6))
+    support = sample_support(ds, SupportSpec(balanced=True, env=env, n_per_class=4), Rng(6))
     probs = _numpy_vote(net, ds, batch, support)
     expect = -np.mean([np.log(probs[i, y] + 1e-15) for i, y in enumerate(ds.y[batch])])
     assert loss.item() == pytest.approx(expect, abs=1e-10)
@@ -95,7 +94,7 @@ def test_loss_explicit_matches_straight_line_reevaluation():
     lam = 0.5
     loss, penalty = VARIANTS["nw_explicit"].loss(net, None, ds, batch, n_c=4, lambda_=lam, rng=Rng(45), env=None)
 
-    support_a, support_b = sample_env_pair(ds, 4, ds.y[batch], Rng(45))
+    support_a, support_b = sample_env_pair(ds, 4, Rng(45))
     pa, pb = _numpy_vote(net, ds, batch, support_a), _numpy_vote(net, ds, batch, support_b)
     gap = ((pa - pb) ** 2).sum(axis=1).mean()
     ce = -np.mean([np.log(pa[i, y] + 1e-15) for i, y in enumerate(ds.y[batch])])
@@ -108,7 +107,7 @@ def test_explicit_penalty_zero_iff_predictions_coincide():
     ds = toy_dataset(seed=7)
     net = FeatureNet((4, 6, 2), Rng(8))
     batch = sample_query_batch(ds, 4, Rng(9))
-    s1, s2 = sample_env_pair(ds, 3, set(ds.y[batch]), Rng(10))
+    s1, s2 = sample_env_pair(ds, 3, Rng(10))
 
     # identical supports -> identical predictions -> exactly zero
     assert nw_loss(net, ds, batch, (s1, s1), lambda_=1.0)[1].item() == 0.0
@@ -146,7 +145,7 @@ def test_explicit_lambda_zero_reduces_to_implicit_on_shared_draw():
     total, _ = VARIANTS["nw_explicit"].loss(net, None, ds, batch, n_c=3, lambda_=0.0, rng=Rng(18), env=None)
 
     rng = Rng(18)
-    s1, _ = sample_env_pair(ds, 3, set(ds.y[batch]), rng)
+    s1, _ = sample_env_pair(ds, 3, rng)
     manual, _ = nw_loss(net, ds, batch, (s1,), lambda_=0.0)
     assert total.item() == manual.item()
 
